@@ -1,13 +1,16 @@
 // Command qostables regenerates the complete experiment suite — every
 // table and figure of the paper's evaluation plus the DESIGN.md ablations —
 // and prints them in DESIGN.md's experiment-index order. Figures 2-4 are
-// built from one shared (architecture x load) sweep.
+// built from one shared (architecture x load) sweep; with -seeds, Figure 2
+// is also replicated across the seeds and reported as mean±std.
 //
 // Examples:
 //
 //	qostables -scale quick                       # the whole suite, reduced scale
 //	qostables -scale paper -loads 0.3,0.6,1.0    # full 128-endpoint MIN, reduced sweep
 //	qostables -only figures,penalty              # a subset
+//	qostables -only figures -seeds 1,2,3,4,5     # Figures 2-4 plus Figure 2 mean±std
+//	qostables -only figures -csvdir figs         # figure series as CSV for plotting
 package main
 
 import (
@@ -39,6 +42,7 @@ func run() error {
 		par     = cli.ParFlag()
 		shards  = cli.ShardsFlag()
 		seed    = flag.Uint64("seed", 1, "random seed")
+		seeds   = flag.String("seeds", "", "comma-separated seed list: the figures also report Figure 2 mean±std across them")
 		loads   = flag.String("loads", "", "comma-separated loads overriding the scale's sweep")
 		warmup  = flag.String("warmup", "", "override warm-up period (e.g. 2ms)")
 		measure = flag.String("measure", "", "override measurement window (e.g. 25ms)")
@@ -65,6 +69,12 @@ func run() error {
 	opt.Base.Seed = *seed
 	if *loads != "" {
 		if opt.Loads, err = cli.ParseLoads(*loads); err != nil {
+			return err
+		}
+	}
+	var seedList []uint64
+	if *seeds != "" {
+		if seedList, err = cli.ParseSeeds(*seeds); err != nil {
 			return err
 		}
 	}
@@ -148,9 +158,15 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("F2-F4: %w", err)
 		}
-		show("F2 F3 F4", "figures", start,
-			[]*report.Table{f.Fig2Latency, f.Fig2CDF, f.Fig3Latency, f.Fig3CDF, f.Fig4Throughput},
-			f.Plots)
+		tables := []*report.Table{f.Fig2Latency, f.Fig2CDF, f.Fig3Latency, f.Fig3CDF, f.Fig4Throughput}
+		if seedList != nil {
+			t, err := experiments.Fig2Confidence(opt, seedList)
+			if err != nil {
+				return fmt.Errorf("F2 seeds: %w", err)
+			}
+			tables = append(tables, t)
+		}
+		show("F2 F3 F4", "figures", start, tables, f.Plots)
 	}
 	type tableExp struct {
 		id, name string

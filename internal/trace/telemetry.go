@@ -229,7 +229,7 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 // Profile summarises one run's engine performance: how fast the simulator
 // chewed through events and what it cost in wall clock and allocations.
 // Allocation counters are process-wide deltas around the run — accurate
-// for a single-run process (cmd/qostrace, benchmarks), approximate when
+// for a single-run process (cmd/qosim, benchmarks), approximate when
 // other goroutines allocate concurrently (parallel harness sweeps).
 type Profile struct {
 	Events       uint64  `json:"events"`
