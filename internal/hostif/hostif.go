@@ -502,7 +502,23 @@ func (h *Host) armWake() {
 		h.cfg.Eng.Cancel(h.wake)
 	}
 	h.wakeAt = at
-	h.wake = h.cfg.Eng.At(at, func() { h.tryInject() })
+	h.wake = h.cfg.Eng.Post(at, 0, sim.Payload{H: h, Kind: sim.KindWake})
+}
+
+// Fire implements sim.Handler for the NIC's own events: the eligibility
+// wake-up, a retransmission timeout for flow A's sequence number B, and a
+// receiver report built by AckEvent.
+func (h *Host) Fire(kind sim.Kind, _ *packet.Packet, a, b uint64) {
+	switch kind {
+	case sim.KindWake:
+		h.tryInject()
+	case sim.KindRetx:
+		h.onRetxTimeout(relKey{packet.FlowID(a), b})
+	case sim.KindAck:
+		h.handleAck(packet.FlowID(a), b, a>>32 != 0)
+	default:
+		panic(fmt.Sprintf("hostif: host %d: unexpected event kind %d", h.cfg.ID, kind))
+	}
 }
 
 // promoteEligible moves packets whose eligible time has come into their

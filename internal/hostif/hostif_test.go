@@ -456,3 +456,46 @@ func TestDeadlinesStrictlyIncreasePerFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// drainSink is a receiver that returns credits at once and keeps nothing.
+type drainSink struct {
+	l *link.Link
+	n int
+}
+
+func (s *drainSink) Receive(p *packet.Packet) {
+	s.n++
+	s.l.ReturnCredits(p.VC, p.Size)
+}
+
+func TestSubmitMessageAllocatesOnlyThePacket(t *testing.T) {
+	// One MTU message: segmentation, stamping, staging (through the
+	// eligibility heap and a wake-up event when shaped), injection, the
+	// link's events and the credit return. The packet itself is the only
+	// allocation.
+	for _, shaped := range []bool{false, true} {
+		eng := sim.New()
+		mtu := 2 * units.Kilobyte
+		h := New(Config{
+			Eng: eng, Clock: packet.Clock{Base: eng.Now}, Arch: arch.Advanced2VC,
+			MTU: mtu, EligibleLead: 20 * units.Microsecond, IDs: &IDSource{},
+		})
+		s := &drainSink{}
+		s.l = link.New(eng, 1, 20, 8*units.Kilobyte, s)
+		h.ConnectOut(s.l)
+		f := &Flow{ID: 1, Class: packet.Control, Src: 0, Dst: 1, Route: []int{0}, Mode: ByBandwidth, BW: 1}
+		if shaped {
+			f.Class, f.Mode, f.Target, f.UseEligible = packet.Multimedia, FrameLatency, units.Millisecond, true
+		}
+		h.AddFlow(f)
+		if n := testing.AllocsPerRun(500, func() {
+			h.SubmitMessage(1, mtu-packet.HeaderSize)
+			eng.Drain()
+		}); n > 1 {
+			t.Errorf("shaped=%v: SubmitMessage allocates %v times per MTU message, want <= 1", shaped, n)
+		}
+		if s.n != 501 {
+			t.Fatalf("shaped=%v: delivered %d packets, want 501", shaped, s.n)
+		}
+	}
+}

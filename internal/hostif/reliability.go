@@ -169,7 +169,7 @@ func (h *Host) trackInjected(p *packet.Packet) {
 	e.pkt = *p
 	e.queued = false
 	rto := h.cfg.Reliability.rto(e.retries)
-	e.timer = h.cfg.Eng.After(rto, func() { h.onRetxTimeout(key) })
+	e.timer = h.cfg.Eng.Post(h.cfg.Eng.Now()+rto, 0, sim.Payload{H: h, Kind: sim.KindRetx, A: uint64(key.flow), B: key.seq})
 }
 
 // onRetxTimeout fires when a tracked packet's ack did not arrive in time.
@@ -182,9 +182,20 @@ func (h *Host) onRetxTimeout(key relKey) {
 	h.retransmit(e)
 }
 
-// HandleAck processes an out-of-band receiver report for (flow, seq):
+// AckEvent returns the typed event that, fired on this host's engine,
+// hands it the receiver report handleAck(flow, seq, ok). The network's
+// out-of-band report path posts or relays it after the modelled delay.
+func (h *Host) AckEvent(flow packet.FlowID, seq uint64, ok bool) sim.Payload {
+	a := uint64(flow)
+	if ok {
+		a |= 1 << 32 // above every 32-bit FlowID
+	}
+	return sim.Payload{H: h, Kind: sim.KindAck, A: a, B: seq}
+}
+
+// handleAck processes an out-of-band receiver report for (flow, seq):
 // ok acknowledges delivery, !ok is a NAK requesting retransmission.
-func (h *Host) HandleAck(flow packet.FlowID, seq uint64, ok bool) {
+func (h *Host) handleAck(flow packet.FlowID, seq uint64, ok bool) {
 	if h.rel == nil {
 		return
 	}

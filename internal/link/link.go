@@ -189,66 +189,88 @@ func (l *Link) Send(p *packet.Packet) {
 		}
 	}
 	// The link frees after serialisation; the packet lands prop later.
-	l.eng.After(tx, func() {
-		if l.OnReady != nil {
-			l.OnReady()
-		}
-	})
-	sentDown := l.down
-	epoch := l.downEpoch
+	l.eng.Post(l.eng.Now()+tx, 0, sim.Payload{H: l, Kind: sim.KindLinkFree})
 	l.inFlight++
 	arrive := l.eng.Now() + tx + l.prop
-
+	var flags uint64
+	if l.down {
+		flags |= sentDown
+	}
 	if l.remoteDeliver != nil {
 		// Cross-shard link: decide loss now from the static fault
 		// timeline, hand the packet to the receiver's shard if it
 		// survives, and keep the sender-side bookkeeping local.
-		lost := sentDown || (l.lostBetween != nil && l.lostBetween(l.eng.Now(), arrive))
-		if !lost {
+		if l.down || (l.lostBetween != nil && l.lostBetween(l.eng.Now(), arrive)) {
+			flags |= lostStatic
+		} else {
 			l.remoteDeliver(arrive, p)
 		}
-		l.eng.AtChannel(arrive, l.pktCh, func() {
-			l.inFlight--
-			if (sentDown || epoch != l.downEpoch) != lost {
-				panic(fmt.Sprintf("link: static loss predicate %v disagrees with epoch state at %v",
-					lost, l.eng.Now()))
-			}
-			if lost {
-				l.dropped++
-				l.mtr.Dropped.Inc()
-				l.addCredits(p.VC, p.Size)
-				if l.OnDrop != nil {
-					l.OnDrop(p)
-				}
-				if l.OnReady != nil {
-					l.OnReady()
-				}
-			}
-		})
+	}
+	l.eng.Post(arrive, l.pktCh, sim.Payload{H: l, Kind: sim.KindLinkArrive, Pkt: p, A: l.downEpoch, B: flags})
+}
+
+// Flags of a KindLinkArrive event: the link was down when the packet was
+// sent, and (cross-shard links only) the static fault timeline decided at
+// send time that the packet is lost.
+const (
+	sentDown uint64 = 1 << iota
+	lostStatic
+)
+
+// Fire implements sim.Handler for the link's own events: the end of a
+// serialisation, a packet's arrival (A is the send-time down epoch, B the
+// arrival flags) and a credit return (A is the VC, B the byte count).
+func (l *Link) Fire(kind sim.Kind, p *packet.Packet, a, b uint64) {
+	switch kind {
+	case sim.KindLinkFree:
+		if l.OnReady != nil {
+			l.OnReady()
+		}
+	case sim.KindLinkArrive:
+		l.arrive(p, a, b)
+	case sim.KindCredit:
+		l.addCredits(packet.VC(a), units.Size(b))
+		if l.OnReady != nil {
+			l.OnReady()
+		}
+	default:
+		panic(fmt.Sprintf("link: unexpected event kind %d", kind))
+	}
+}
+
+// arrive is the landing half of Send, at the would-be arrival instant of
+// p. On a cross-shard link the receiver's shard already has the packet (or
+// never got it), so only the sender-side bookkeeping runs here, after
+// asserting that the static loss decision matches the dynamic epoch state;
+// p is read only when it was lost and so never left this shard.
+func (l *Link) arrive(p *packet.Packet, epoch, flags uint64) {
+	l.inFlight--
+	lost := flags&sentDown != 0 || epoch != l.downEpoch
+	if l.remoteDeliver != nil {
+		if static := flags&lostStatic != 0; static != lost {
+			panic(fmt.Sprintf("link: static loss predicate %v disagrees with epoch state at %v",
+				static, l.eng.Now()))
+		}
+	}
+	if !lost {
+		if l.remoteDeliver == nil {
+			l.dst.Receive(p)
+		}
 		return
 	}
-
-	l.eng.AtChannel(arrive, l.pktCh, func() {
-		l.inFlight--
-		if sentDown || epoch != l.downEpoch {
-			// p was transmitted onto a down link, or the link flapped
-			// while it was in flight: either way the packet is lost.
-			// The downstream buffer never sees it, so the credits it held
-			// are restored to the sender — flow control must balance
-			// exactly across the flap.
-			l.dropped++
-			l.mtr.Dropped.Inc()
-			l.addCredits(p.VC, p.Size)
-			if l.OnDrop != nil {
-				l.OnDrop(p)
-			}
-			if l.OnReady != nil {
-				l.OnReady()
-			}
-			return
-		}
-		l.dst.Receive(p)
-	})
+	// p was transmitted onto a down link, or the link flapped while it was
+	// in flight: either way the packet is lost. The downstream buffer
+	// never sees it, so the credits it held are restored to the sender —
+	// flow control must balance exactly across the flap.
+	l.dropped++
+	l.mtr.Dropped.Inc()
+	l.addCredits(p.VC, p.Size)
+	if l.OnDrop != nil {
+		l.OnDrop(p)
+	}
+	if l.OnReady != nil {
+		l.OnReady()
+	}
 }
 
 // addCredits restores credits with the leak guard: credits above the
@@ -267,19 +289,14 @@ func (l *Link) addCredits(vc packet.VC, size units.Size) {
 // reverse propagation delay. Credit returns model an out-of-band control
 // channel: they keep flowing while the data path is down.
 func (l *Link) ReturnCredits(vc packet.VC, size units.Size) {
-	l.eng.AtChannel(l.eng.Now()+l.prop, l.creditCh, func() {
-		l.ApplyCredits(vc, size)
-	})
+	l.eng.Post(l.eng.Now()+l.prop, l.creditCh, l.CreditEvent(vc, size))
 }
 
-// ApplyCredits restores credits immediately and re-fires OnReady. It is
-// the landing half of ReturnCredits, exported so a parsim credit portal
-// can apply a relayed cross-shard credit update on the sender's engine.
-func (l *Link) ApplyCredits(vc packet.VC, size units.Size) {
-	l.addCredits(vc, size)
-	if l.OnReady != nil {
-		l.OnReady()
-	}
+// CreditEvent returns the typed event that, fired on the sender's engine,
+// applies a credit return of size bytes on vc to l. ReturnCredits posts it
+// locally; a parsim credit portal relays it from the receiver's shard.
+func (l *Link) CreditEvent(vc packet.VC, size units.Size) sim.Payload {
+	return sim.Payload{H: l, Kind: sim.KindCredit, A: uint64(vc), B: uint64(size)}
 }
 
 // SetChannels assigns the link's ordering channels for arrival (pkt) and

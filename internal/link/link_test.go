@@ -370,3 +370,37 @@ func TestBackToBackPackets(t *testing.T) {
 		t.Fatalf("inter-arrival %v, want 100 (one serialisation)", s.times[1]-s.times[0])
 	}
 }
+
+// creditSink drains at line rate, returning credits to its link.
+type creditSink struct {
+	up       *Link
+	received int
+}
+
+func (s *creditSink) Receive(p *packet.Packet) {
+	s.received++
+	s.up.ReturnCredits(p.VC, p.Size)
+}
+
+func TestSendCycleAllocatesNothing(t *testing.T) {
+	// One packet through serialisation, arrival and the credit return:
+	// the link-free, arrival and credit events are typed, so a warm
+	// engine runs the whole cycle without allocating.
+	eng := sim.New()
+	s := &creditSink{}
+	l := New(eng, 1, 20, 8*units.Kilobyte, s)
+	s.up = l
+	ready := 0
+	l.OnReady = func() { ready++ }
+	p := pkt(1, packet.Control, 2*units.Kilobyte)
+	if n := testing.AllocsPerRun(1000, func() {
+		l.Send(p)
+		eng.Drain()
+	}); n != 0 {
+		t.Errorf("Send cycle allocates %v times per packet, want 0", n)
+	}
+	if s.received != 1001 || ready != 2*1001 || l.Credits(packet.VCRegulated) != 8*units.Kilobyte {
+		t.Fatalf("received %d, OnReady %d, credits %v; want 1001, 2002, full",
+			s.received, ready, l.Credits(packet.VCRegulated))
+	}
+}

@@ -365,11 +365,11 @@ func New(cfg Config) (*Network, error) {
 			from, to := n.hostShard[dst], n.hostShard[src]
 			ch := uint32(1)<<31 | uint32(src*hostCount+dst)
 			fire := n.shards[from].eng.Now() + rel.AckDelay
-			fn := func() { n.hosts[src].HandleAck(flow, seq, ok) }
+			ev := n.hosts[src].AckEvent(flow, seq, ok)
 			if from == to {
-				n.shards[from].eng.AtChannel(fire, ch, fn)
+				n.shards[from].eng.Post(fire, ch, ev)
 			} else {
-				n.queues[from][to].Put(fire, ch, fn)
+				n.queues[from][to].Put(fire, ch, ev)
 			}
 		}
 	}
@@ -602,8 +602,14 @@ type creditPortal struct {
 }
 
 func (cp *creditPortal) ReturnCredits(vc packet.VC, size units.Size) {
-	cp.q.Put(cp.eng.Now()+cp.prop, cp.ch, func() { cp.l.ApplyCredits(vc, size) })
+	cp.q.Put(cp.eng.Now()+cp.prop, cp.ch, cp.l.CreditEvent(vc, size))
 }
+
+// relayedArrival lands a cross-shard link arrival on the receiver's
+// engine: the relayed packet enters the downstream element's input port.
+type relayedArrival struct{ dst link.Receiver }
+
+func (r *relayedArrival) Fire(_ sim.Kind, p *packet.Packet, _, _ uint64) { r.dst.Receive(p) }
 
 // linkAction is one directed-link up/down transition a topological fault
 // event expands to. Switch output links are addressed by LinkID; host
@@ -776,10 +782,10 @@ func (n *Network) wire() {
 				other.ConnectUpstream(peer.Port, l)
 			} else {
 				pktCh, creditCh := l.Channels()
-				recv := other.InputReceiver(peer.Port)
+				recv := &relayedArrival{other.InputReceiver(peer.Port)}
 				outQ := n.queues[shard][otherShard]
 				l.SetRemote(func(at units.Time, p *packet.Packet) {
-					outQ.Put(at, pktCh, func() { recv.Receive(p) })
+					outQ.Put(at, pktCh, sim.Payload{H: recv, Kind: sim.KindDeliver, Pkt: p})
 				}, lostBetween(timeline[faults.LinkID{Switch: sw, Port: p}]))
 				other.ConnectUpstream(peer.Port, &creditPortal{
 					q: n.queues[otherShard][shard], eng: n.shards[otherShard].eng,

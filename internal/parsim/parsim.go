@@ -26,9 +26,10 @@
 package parsim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,13 +37,13 @@ import (
 	"deadlineqos/internal/units"
 )
 
-// Message is one relayed cross-shard event: fn must be scheduled on the
+// Message is one relayed cross-shard event: Payload must be posted on the
 // receiving LP's engine at Fire on ordering channel Ch.
 type Message struct {
-	Fire units.Time
-	Ch   uint32
-	Fn   func()
-	fifo uint64 // arrival order within the queue, the final tie-break
+	Fire    units.Time
+	Ch      uint32
+	Payload sim.Payload
+	fifo    uint64 // arrival order within the queue, the final tie-break
 }
 
 // Queue is the mailbox for one directed shard pair. The sender's goroutine
@@ -56,10 +57,10 @@ type Queue struct {
 	nextFifo uint64
 }
 
-// Put enqueues a message firing at fire on channel ch.
-func (q *Queue) Put(fire units.Time, ch uint32, fn func()) {
+// Put enqueues the typed event pl firing at fire on channel ch.
+func (q *Queue) Put(fire units.Time, ch uint32, pl sim.Payload) {
 	q.mu.Lock()
-	q.pending = append(q.pending, Message{Fire: fire, Ch: ch, Fn: fn, fifo: q.nextFifo})
+	q.pending = append(q.pending, Message{Fire: fire, Ch: ch, Payload: pl, fifo: q.nextFifo})
 	q.nextFifo++
 	q.mu.Unlock()
 }
@@ -90,7 +91,7 @@ func (q *Queue) TakeUpTo(t units.Time, into []Message) []Message {
 		}
 	}
 	for i := len(kept); i < len(q.pending); i++ {
-		q.pending[i].Fn = nil // release taken closures
+		q.pending[i].Payload = sim.Payload{} // release taken packets
 	}
 	q.pending = kept
 	q.mu.Unlock()
@@ -205,19 +206,10 @@ func Run(lps []*LP, horizon, lookahead units.Time) {
 				for _, q := range lp.In {
 					lp.drain = q.TakeUpTo(windowEnd, lp.drain)
 				}
-				sort.Slice(lp.drain, func(a, b int) bool {
-					x, y := &lp.drain[a], &lp.drain[b]
-					if x.Fire != y.Fire {
-						return x.Fire < y.Fire
-					}
-					if x.Ch != y.Ch {
-						return x.Ch < y.Ch
-					}
-					return x.fifo < y.fifo
-				})
+				slices.SortFunc(lp.drain, compareMessages)
 				for i := range lp.drain {
-					lp.Eng.AtChannel(lp.drain[i].Fire, lp.drain[i].Ch, lp.drain[i].Fn)
-					lp.drain[i].Fn = nil
+					lp.Eng.Post(lp.drain[i].Fire, lp.drain[i].Ch, lp.drain[i].Payload)
+					lp.drain[i].Payload = sim.Payload{}
 				}
 
 				lp.Eng.Run(windowEnd)
@@ -235,4 +227,16 @@ func Run(lps []*LP, horizon, lookahead units.Time) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// compareMessages orders drained messages by (fire, channel, queue order).
+func compareMessages(x, y Message) int {
+	switch {
+	case x.Fire != y.Fire:
+		return cmp.Compare(x.Fire, y.Fire)
+	case x.Ch != y.Ch:
+		return cmp.Compare(x.Ch, y.Ch)
+	default:
+		return cmp.Compare(x.fifo, y.fifo)
+	}
 }

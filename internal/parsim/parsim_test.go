@@ -62,7 +62,7 @@ func runRing(n int, horizon units.Time, parallel bool) [][]record {
 		for i, nd := range nodes {
 			nd.succ = nodes[(i+1)%n]
 			q := queues[(i+1)%n]
-			nd.deliver = q.Put
+			nd.deliver = func(fire units.Time, ch uint32, fn func()) { q.Put(fire, ch, sim.Payload{H: sim.Func(fn)}) }
 			lps[i] = &LP{Eng: nodes[i].eng, In: []*Queue{queues[i]}}
 		}
 		for _, nd := range nodes {
@@ -123,9 +123,10 @@ func TestRunSingleLP(t *testing.T) {
 
 func TestQueueTakeUpTo(t *testing.T) {
 	q := &Queue{}
-	q.Put(30, 2, func() {})
-	q.Put(10, 1, func() {})
-	q.Put(20, 3, func() {})
+	noop := sim.Payload{H: sim.Func(func() {})}
+	q.Put(30, 2, noop)
+	q.Put(10, 1, noop)
+	q.Put(20, 3, noop)
 	if min, ok := q.MinFire(); !ok || min != 10 {
 		t.Fatalf("MinFire = %v, %v; want 10, true", min, ok)
 	}

@@ -91,7 +91,10 @@ type ArbiterConfig struct {
 
 // Arbiter makes one switch output port's grant decisions. Instances are
 // per-port and may keep rotating-priority state; both methods must be
-// deterministic functions of that state and their arguments.
+// deterministic functions of that state and their arguments. The cands
+// and heads arguments are scratch the switch keeps per output port and
+// refills on every decision: an Arbiter must not retain them, or the
+// slices inside cands, past the call.
 type Arbiter interface {
 	// PickXbar applies the two-level crossbar choice: VC first, then the
 	// input within the VC. cands[vc] holds the head packets of non-busy

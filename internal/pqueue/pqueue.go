@@ -341,32 +341,17 @@ type heapEntry struct {
 	seq uint64 // arrival order, the EDF tie-break
 }
 
-type pktHeap []heapEntry
-
-func (h pktHeap) Len() int { return len(h) }
-func (h pktHeap) Less(i, j int) bool {
-	if h[i].p.Deadline != h[j].p.Deadline {
-		return h[i].p.Deadline < h[j].p.Deadline
-	}
-	return h[i].seq < h[j].seq
-}
-func (h pktHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pktHeap) Push(x any)   { *h = append(*h, x.(heapEntry)) }
-func (h *pktHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = heapEntry{}
-	*h = old[:n-1]
-	return e
-}
-
 // DeadlineHeap is the "Ideal" ordered buffer: Head is always the stored
 // packet with the smallest deadline (ties broken by arrival order, making
 // the discipline a stable EDF).
+//
+// The binary heap is sifted by hand rather than through container/heap,
+// whose interface boxes every entry into an any; up and down repeat
+// container/heap's compare and swap sequence exactly, so the layout Scan
+// walks is the one container/heap would build.
 type DeadlineHeap struct {
 	base
-	h pktHeap
+	h []heapEntry
 }
 
 // NewHeap returns an empty ordered buffer of the given byte capacity.
@@ -378,10 +363,50 @@ func NewHeap(capacity units.Size, track bool) *DeadlineHeap {
 	return d
 }
 
+func (d *DeadlineHeap) less(i, j int) bool {
+	a, b := &d.h[i], &d.h[j]
+	if a.p.Deadline != b.p.Deadline {
+		return a.p.Deadline < b.p.Deadline
+	}
+	return a.seq < b.seq
+}
+
+// up is container/heap's up.
+func (d *DeadlineHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !d.less(j, i) {
+			break
+		}
+		d.h[i], d.h[j] = d.h[j], d.h[i]
+		j = i
+	}
+}
+
+// down is container/heap's down over the first n entries.
+func (d *DeadlineHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && d.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !d.less(j, i) {
+			break
+		}
+		d.h[i], d.h[j] = d.h[j], d.h[i]
+		i = j
+	}
+}
+
 // Push stores p in deadline order.
 func (d *DeadlineHeap) Push(p *packet.Packet) {
 	d.pushAccounting(p, "heap")
-	heap.Push(&d.h, heapEntry{p, d.arrivalSeq})
+	d.h = append(d.h, heapEntry{p, d.arrivalSeq})
+	d.up(len(d.h) - 1)
 	d.arrivalSeq++
 }
 
@@ -395,12 +420,17 @@ func (d *DeadlineHeap) Head() *packet.Packet {
 
 // Pop removes and returns the minimum-deadline stored packet.
 func (d *DeadlineHeap) Pop() *packet.Packet {
-	if len(d.h) == 0 {
+	n := len(d.h) - 1
+	if n < 0 {
 		return nil
 	}
-	e := heap.Pop(&d.h).(heapEntry)
-	d.popAccounting(e.p)
-	return e.p
+	d.h[0], d.h[n] = d.h[n], d.h[0]
+	d.down(0, n)
+	p := d.h[n].p
+	d.h[n] = heapEntry{}
+	d.h = d.h[:n]
+	d.popAccounting(p)
+	return p
 }
 
 // Len returns the number of stored packets.

@@ -37,7 +37,8 @@ type cSession struct {
 	retryAfter units.Time // shed-reject drain hint for the next backoff
 	stopAt     units.Time
 	interval   units.Time
-	timer      sim.Handle // pending response-timeout or retry-backoff event
+	timer      sim.Handle  // pending response-timeout or retry-backoff event
+	tick       sim.Handler // emitData for this session, bound at activation
 }
 
 // maxBackoffShift caps the exponential retry backoff at base << 16; a
@@ -94,6 +95,7 @@ type Client struct {
 	// target is the host new signalling goes to: the pod primary, the
 	// promoted standby after an OpRetarget, or -1 for the root manager.
 	target int
+	tick   sim.Handler // arrive, bound at Start
 }
 
 // NewClient returns a client for cc.Host. Call Start to begin arrivals.
@@ -137,7 +139,10 @@ func (c *Client) ctlFlow() packet.FlowID {
 func (c *Client) Name() string { return fmt.Sprintf("sessions@%d", c.id) }
 
 // Start schedules the first session arrival.
-func (c *Client) Start() { c.scheduleArrival() }
+func (c *Client) Start() {
+	c.tick = sim.Func(c.arrive)
+	c.scheduleArrival()
+}
 
 // inFlash reports whether t falls inside the flash-crowd window.
 func (c *Client) inFlash(t units.Time) bool {
@@ -153,7 +158,7 @@ func (c *Client) scheduleArrival() {
 		mean /= c.c.Cfg.FlashFactor
 	}
 	gap := units.Time(c.c.Rng.Exp(mean)) + 1
-	c.c.Eng.After(gap, c.arrive)
+	c.c.Eng.Post(c.c.Eng.Now()+gap, 0, sim.Payload{H: c.tick, Kind: sim.KindEmit})
 }
 
 // pickProfile draws one profile by weight.
@@ -374,6 +379,7 @@ func (c *Client) activate(s *cSession) {
 	if s.interval < 1 {
 		s.interval = 1
 	}
+	s.tick = sim.Func(func() { c.emitData(s) })
 	c.emitData(s)
 }
 
@@ -388,7 +394,7 @@ func (c *Client) emitData(s *cSession) {
 		return
 	}
 	c.c.Host.SubmitMessage(s.flowID, s.msgSize)
-	c.c.Eng.After(s.interval, func() { c.emitData(s) })
+	c.c.Eng.Post(c.c.Eng.Now()+s.interval, 0, sim.Payload{H: s.tick, Kind: sim.KindEmit})
 }
 
 // finish ends the session, sending an in-band Teardown when a CAC record

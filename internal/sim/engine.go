@@ -10,6 +10,16 @@
 // across several engines with internal/parsim, whose channel-keyed merge
 // rule reproduces the sequential order exactly.
 //
+// Events are typed. Post schedules a Payload: a Handler to fire on, a Kind,
+// a packet pointer and two integer arguments. Per-packet model code (link
+// serialisation, arrivals and credit returns, crossbar transfers, NIC
+// wake-ups and timers, traffic emission, parsim relays) posts its own
+// receiver with the kind and arguments it needs, so scheduling a packet hop
+// allocates nothing. At, After and AtChannel are thin wrappers that post a
+// Func, a func-typed Handler: a func value is one pointer, so its
+// conversion to Handler does not allocate either. Every event, typed or
+// not, fires through the same Handler.Fire call.
+//
 // Implementation notes: simulations execute tens of millions of events, so
 // the pending set is a hand-rolled 4-ary heap (shallower than a binary heap,
 // fewer cache misses per sift) and fired Event records are recycled through
@@ -22,18 +32,60 @@ import (
 	"fmt"
 
 	"deadlineqos/internal/metrics"
+	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
 )
 
-// Event is a scheduled callback. Events are owned and recycled by the
+// Kind labels what a typed event does. A Handler that posts several kinds
+// of event dispatches on it; the engine itself only carries it.
+type Kind uint8
+
+// Event kinds. KindFunc marks the plain funcs At, After and AtChannel post;
+// the others name the per-packet and per-message events of the model.
+const (
+	KindFunc       Kind = iota
+	KindLinkFree        // a link finished serialising a packet
+	KindLinkArrive      // a packet's last byte reached the far end of a link
+	KindCredit          // a credit return reached the sending link
+	KindXbarFinish      // a crossbar transfer completed
+	KindWake            // a NIC eligibility wake-up
+	KindRetx            // a retransmission timeout
+	KindAck             // a receiver report reached the source NIC
+	KindDeliver         // a packet relayed from another shard arrives
+	KindEmit            // a traffic source or session client emits
+)
+
+// Handler receives typed events: Fire runs at the event's time with the
+// kind, packet and arguments the event was posted with.
+type Handler interface {
+	Fire(kind Kind, p *packet.Packet, a, b uint64)
+}
+
+// Payload is what one typed event carries. The meaning of Pkt, A and B is
+// the Handler's, per Kind.
+type Payload struct {
+	H    Handler
+	Kind Kind
+	Pkt  *packet.Packet
+	A, B uint64
+}
+
+// Func adapts a plain func to Handler. A func value is a single pointer, so
+// converting a Func to Handler does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire(Kind, *packet.Packet, uint64, uint64) { f() }
+
+// Event is a scheduled Payload. Events are owned and recycled by the
 // Engine; user code refers to them through Handles.
 type Event struct {
 	at  units.Time
 	seq uint64 // FIFO tie-break among same-cycle, same-channel events
-	fn  func()
-	idx int    // heap index, -1 when not queued
-	gen uint32 // incremented on recycle, invalidating stale Handles
 	ch  uint32 // ordering channel; 0 for plain At/After events
+	gen uint32 // incremented on recycle, invalidating stale Handles
+	idx int    // heap index, -1 when not queued
+	pl  Payload
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
@@ -192,7 +244,7 @@ func (e *Engine) remove(i int) {
 }
 
 // alloc takes an Event from the free list or allocates one.
-func (e *Engine) alloc(at units.Time, fn func()) *Event {
+func (e *Engine) alloc(at units.Time, pl Payload) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -203,14 +255,15 @@ func (e *Engine) alloc(at units.Time, fn func()) *Event {
 	}
 	ev.at = at
 	ev.seq = e.nextSeq
-	ev.fn = fn
+	ev.pl = pl
 	e.nextSeq++
 	return ev
 }
 
-// recycle returns a fired or cancelled event to the free list.
+// recycle returns a fired or cancelled event to the free list, dropping
+// its payload so the free list keeps no packet or handler alive.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
+	ev.pl = Payload{}
 	ev.gen++
 	if len(e.free) < 4096 {
 		e.free = append(e.free, ev)
@@ -221,7 +274,7 @@ func (e *Engine) recycle(ev *Event) {
 // the past (before Now) panics: it would silently corrupt causality.
 // Same-cycle channel-0 events fire in scheduling order (FIFO).
 func (e *Engine) At(at units.Time, fn func()) Handle {
-	return e.schedule(at, 0, fn)
+	return e.Post(at, 0, Payload{H: Func(fn)})
 }
 
 // AtChannel schedules fn at absolute time at on ordering channel ch.
@@ -231,14 +284,19 @@ func (e *Engine) At(at units.Time, fn func()) Handle {
 // identical whether they were scheduled on one engine or relayed between
 // shard engines by internal/parsim.
 func (e *Engine) AtChannel(at units.Time, ch uint32, fn func()) Handle {
-	return e.schedule(at, ch, fn)
+	return e.Post(at, ch, Payload{H: Func(fn)})
 }
 
-func (e *Engine) schedule(at units.Time, ch uint32, fn func()) Handle {
+// Post schedules the typed event pl at absolute time at on ordering
+// channel ch (0 for the plain FIFO order of At): when it fires, pl.H
+// receives Fire(pl.Kind, pl.Pkt, pl.A, pl.B). Posting needs no closure, so
+// a warm engine schedules and fires typed events without allocating.
+// Ordering and the past-scheduling panic are those of At and AtChannel.
+func (e *Engine) Post(at units.Time, ch uint32, pl Payload) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	ev := e.alloc(at, fn)
+	ev := e.alloc(at, pl)
 	ev.ch = ch
 	ev.idx = len(e.heap)
 	e.heap = append(e.heap, ev)
@@ -312,9 +370,9 @@ func (e *Engine) Run(until units.Time) {
 		if e.evCnt != nil {
 			e.evCnt.Inc()
 		}
-		fn := next.fn
+		pl := next.pl
 		e.recycle(next)
-		fn()
+		pl.H.Fire(pl.Kind, pl.Pkt, pl.A, pl.B)
 	}
 	if e.now < until {
 		e.now = until
@@ -333,8 +391,8 @@ func (e *Engine) Drain() {
 		if e.evCnt != nil {
 			e.evCnt.Inc()
 		}
-		fn := next.fn
+		pl := next.pl
 		e.recycle(next)
-		fn()
+		pl.H.Fire(pl.Kind, pl.Pkt, pl.A, pl.B)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
 )
 
@@ -461,5 +462,69 @@ func TestPeekTime(t *testing.T) {
 	e.Drain()
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime ok after drain")
+	}
+}
+
+// recorder is a Handler that logs every typed event it receives.
+type recorder struct {
+	e   *Engine
+	got []fired
+}
+
+type fired struct {
+	at   units.Time
+	kind Kind
+	p    *packet.Packet
+	a, b uint64
+}
+
+func (r *recorder) Fire(kind Kind, p *packet.Packet, a, b uint64) {
+	r.got = append(r.got, fired{r.e.Now(), kind, p, a, b})
+}
+
+func TestPostDeliversPayloadInOrder(t *testing.T) {
+	e := New()
+	r := &recorder{e: e}
+	p := &packet.Packet{ID: 7}
+	e.Post(20, 0, Payload{H: r, Kind: KindXbarFinish, Pkt: p, A: 3, B: 4})
+	e.At(10, func() { r.got = append(r.got, fired{at: e.Now(), kind: KindFunc}) })
+	e.Post(10, 0, Payload{H: r, Kind: KindWake, A: 1, B: 2})
+	e.Post(10, 5, Payload{H: r, Kind: KindCredit})
+	e.Drain()
+	want := []fired{
+		{10, KindFunc, nil, 0, 0}, // channel 0, scheduled first
+		{10, KindWake, nil, 1, 2}, // channel 0, scheduled second
+		{10, KindCredit, nil, 0, 0},
+		{20, KindXbarFinish, p, 3, 4},
+	}
+	if len(r.got) != len(want) {
+		t.Fatalf("fired %d events, want %d: %v", len(r.got), len(want), r.got)
+	}
+	for i := range want {
+		if r.got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, r.got[i], want[i])
+		}
+	}
+}
+
+func TestPostFireAllocatesNothing(t *testing.T) {
+	e := New()
+	r := &recorder{e: e, got: make([]fired, 0, 1)}
+	p := &packet.Packet{}
+	if n := testing.AllocsPerRun(1000, func() {
+		r.got = r.got[:0]
+		e.Post(e.Now()+3, 9, Payload{H: r, Kind: KindLinkArrive, Pkt: p, A: 1, B: 2})
+		e.Drain()
+	}); n != 0 {
+		t.Errorf("Post+fire allocates %v times per event, want 0", n)
+	}
+	// The func wrappers post a Func, whose conversion to Handler is free:
+	// a func bound once schedules without allocating too.
+	tick := func() {}
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(3, tick)
+		e.Drain()
+	}); n != 0 {
+		t.Errorf("After+fire of a bound func allocates %v times per event, want 0", n)
 	}
 }

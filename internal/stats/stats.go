@@ -457,7 +457,7 @@ type Collector struct {
 	RogueDelivered    uint64
 	RogueMissed       uint64
 
-	frames  map[uint64]*frameAcc
+	frames  map[uint64]frameAcc // by value: no allocation per frame
 	lastLat map[packet.FlowID]units.Time
 	hosts   int
 	linkBW  units.Bandwidth
@@ -473,7 +473,7 @@ func NewCollector(hosts int, linkBW units.Bandwidth, warmUp, horizon units.Time)
 	c := &Collector{
 		WarmUp:  warmUp,
 		Horizon: horizon,
-		frames:  make(map[uint64]*frameAcc),
+		frames:  make(map[uint64]frameAcc),
 		lastLat: make(map[packet.FlowID]units.Time),
 		hosts:   hosts,
 		linkBW:  linkBW,
@@ -550,8 +550,7 @@ func (c *Collector) PacketDelivered(p *packet.Packet, now units.Time) {
 	if p.FrameID != 0 && p.FrameParts > 0 {
 		f, ok := c.frames[p.FrameID]
 		if !ok {
-			f = &frameAcc{created: p.CreatedAt, remaining: p.FrameParts, class: p.Class, src: p.Src}
-			c.frames[p.FrameID] = f
+			f = frameAcc{created: p.CreatedAt, remaining: p.FrameParts, class: p.Class, src: p.Src}
 		}
 		// All parts arrive at one destination, so now+slack values share
 		// one clock base and the max is the frame's final deadline there.
@@ -583,7 +582,11 @@ func (c *Collector) PacketDelivered(p *packet.Packet, now units.Time) {
 					}
 				}
 			}
-			delete(c.frames, p.FrameID)
+			if ok {
+				delete(c.frames, p.FrameID)
+			}
+		} else {
+			c.frames[p.FrameID] = f
 		}
 	}
 }

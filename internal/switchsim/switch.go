@@ -156,6 +156,12 @@ type outputPort struct {
 	arb    policy.Arbiter            // per-port grant decisions (crossbar + link)
 	sendOK func(*packet.Packet) bool // down.CanSend, bound once at connect
 
+	// Arbitration scratch, refilled on every decision and handed to arb:
+	// per-VC crossbar candidates (capacity Radix each) and the per-VC
+	// output buffer heads. Kept here so a decision allocates nothing.
+	cands [packet.NumVCs][]arbiter.Candidate
+	heads [packet.NumVCs]*packet.Packet
+
 	// served[vc][input] is the cumulative bytes input has pushed through
 	// this output on a guarded VC, the occupancy guard's fairness state.
 	// Allocated only when the guard is on.
@@ -191,6 +197,7 @@ func New(cfg Config) *Switch {
 
 		op := &outputPort{sw: s, idx: i}
 		for vc := 0; vc < packet.NumVCs; vc++ {
+			op.cands[vc] = make([]arbiter.Candidate, 0, cfg.Radix)
 			op.buf[vc] = pqueue.New(cfg.Arch.Discipline(packet.VC(vc)), cfg.BufPerVC, cfg.TrackOrderErrors)
 			op.buf[vc].SetMetrics(cfg.Metrics.Buf)
 			if cfg.Tracer != nil {
@@ -315,8 +322,9 @@ func (s *Switch) tryXbar(o int) {
 	// lead the least-served backlogged input by more than GuardBytes is
 	// withheld, so a babbling NIC cannot monopolise the regulated VC
 	// while other inputs hold traffic for this output.
-	var cands [packet.NumVCs][]arbiter.Candidate
+	cands := &op.cands
 	for vc := 0; vc < packet.NumVCs; vc++ {
+		cands[vc] = cands[vc][:0]
 		free := op.buf[vc].Free()
 		ceiling := units.Size(-1)
 		if s.guarded(packet.VC(vc)) {
@@ -348,7 +356,7 @@ func (s *Switch) tryXbar(o int) {
 	}
 	// The policy's two-level choice: VC first, then input within the VC
 	// (the default policy applies the architecture's rule).
-	vc, sel := op.arb.PickXbar(&cands)
+	vc, sel := op.arb.PickXbar(cands)
 	if sel < 0 {
 		return
 	}
@@ -373,10 +381,20 @@ func (s *Switch) startTransfer(ip *inputPort, op *outputPort, vc packet.VC) {
 	s.cfg.Metrics.XbarTransfers.Inc()
 	s.inXbar++
 	tx := s.cfg.XbarBW.TxTime(p.Size)
-	s.cfg.Eng.After(tx, func() { s.finishTransfer(ip, op, vc, p) })
+	s.cfg.Eng.Post(s.cfg.Eng.Now()+tx, 0, sim.Payload{H: s, Kind: sim.KindXbarFinish, Pkt: p, A: uint64(ip.idx), B: uint64(op.idx)})
 }
 
-func (s *Switch) finishTransfer(ip *inputPort, op *outputPort, vc packet.VC, p *packet.Packet) {
+// Fire implements sim.Handler for the switch's crossbar transfers: p
+// finishes crossing from input port A to output port B.
+func (s *Switch) Fire(kind sim.Kind, p *packet.Packet, a, b uint64) {
+	if kind != sim.KindXbarFinish {
+		panic(fmt.Sprintf("switch %d: unexpected event kind %d", s.cfg.ID, kind))
+	}
+	s.finishTransfer(s.in[a], s.out[b], p)
+}
+
+func (s *Switch) finishTransfer(ip *inputPort, op *outputPort, p *packet.Packet) {
+	vc := ip.xferVC
 	ip.busy = false
 	op.busy = false
 	s.inXbar--
@@ -521,11 +539,10 @@ func (s *Switch) tryLinkTx(o int) {
 	}
 	// The policy chooses the VC, honouring the appendix's rule: only the
 	// discipline-designated head of each VC may be credit-checked.
-	var heads [packet.NumVCs]*packet.Packet
 	for vc := 0; vc < packet.NumVCs; vc++ {
-		heads[vc] = op.buf[vc].Head()
+		op.heads[vc] = op.buf[vc].Head()
 	}
-	vc := op.arb.PickLinkVC(&heads, op.sendOK)
+	vc := op.arb.PickLinkVC(&op.heads, op.sendOK)
 	if vc < 0 {
 		return
 	}

@@ -39,6 +39,12 @@ type Source interface {
 	Name() string
 }
 
+// rearm posts a source's next emission, delay cycles from now, to tick:
+// its emit method, bound once at Start so re-arming allocates nothing.
+func rearm(eng *sim.Engine, delay units.Time, tick sim.Handler) {
+	eng.Post(eng.Now()+delay, 0, sim.Payload{H: tick, Kind: sim.KindEmit})
+}
+
 // --- Control --------------------------------------------------------------
 
 // ControlConfig parameterises a control-traffic source.
@@ -60,6 +66,7 @@ type Control struct {
 	cfg      ControlConfig
 	meanMsg  float64
 	messages uint64
+	tick     sim.Handler // emit, bound at Start
 }
 
 // NewControl returns a control source. It panics on an empty flow list or
@@ -84,7 +91,8 @@ func (c *Control) Name() string { return "control" }
 // inter-arrival, desynchronising the hosts.
 func (c *Control) Start() {
 	mean := c.meanInterval()
-	c.cfg.Eng.After(units.Time(c.cfg.Rng.Float64()*mean), c.emit)
+	c.tick = sim.Func(c.emit)
+	rearm(c.cfg.Eng, units.Time(c.cfg.Rng.Float64()*mean), c.tick)
 }
 
 // meanInterval returns the mean inter-arrival time in cycles.
@@ -95,7 +103,7 @@ func (c *Control) emit() {
 	size := units.Size(c.cfg.Rng.UniformInt(int64(c.cfg.MinMsg), int64(c.cfg.MaxMsg)))
 	c.cfg.Host.SubmitMessage(flow, size)
 	c.messages++
-	c.cfg.Eng.After(units.Time(c.cfg.Rng.Exp(c.meanInterval()))+1, c.emit)
+	rearm(c.cfg.Eng, units.Time(c.cfg.Rng.Exp(c.meanInterval()))+1, c.tick)
 }
 
 // Messages returns how many messages this source has emitted.
@@ -167,6 +175,7 @@ type Video struct {
 	cfg    VideoConfig
 	frame  int // index into the GoP pattern
 	frames uint64
+	tick   sim.Handler // emit, bound at Start
 }
 
 // NewVideo returns a video source.
@@ -187,7 +196,8 @@ func (v *Video) Name() string { return "video" }
 // streams are not synchronised across hosts).
 func (v *Video) Start() {
 	v.frame = v.cfg.Rng.Intn(len(v.cfg.GoP.Pattern))
-	v.cfg.Eng.After(units.Time(v.cfg.Rng.Int63n(int64(v.cfg.Period))), v.emit)
+	v.tick = sim.Func(v.emit)
+	rearm(v.cfg.Eng, units.Time(v.cfg.Rng.Int63n(int64(v.cfg.Period))), v.tick)
 }
 
 func (v *Video) emit() {
@@ -211,7 +221,7 @@ func (v *Video) emit() {
 	v.cfg.Host.SubmitMessage(v.cfg.Flow, size)
 	v.frames++
 	v.frame++
-	v.cfg.Eng.After(v.cfg.Period, v.emit)
+	rearm(v.cfg.Eng, v.cfg.Period, v.tick)
 }
 
 // Frames returns how many frames this stream has emitted.
@@ -244,6 +254,7 @@ type SelfSimilarConfig struct {
 type SelfSimilar struct {
 	cfg    SelfSimilarConfig
 	bursts uint64
+	tick   sim.Handler // emit, bound at Start
 }
 
 // NewSelfSimilar returns a best-effort source with validated parameters.
@@ -266,7 +277,8 @@ func (s *SelfSimilar) Name() string { return "selfsimilar" }
 
 // Start schedules the first burst with a random desynchronising offset.
 func (s *SelfSimilar) Start() {
-	s.cfg.Eng.After(units.Time(s.cfg.Rng.Int63n(1000)+1), s.emit)
+	s.tick = sim.Func(s.emit)
+	rearm(s.cfg.Eng, units.Time(s.cfg.Rng.Int63n(1000)+1), s.tick)
 }
 
 func (s *SelfSimilar) emit() {
@@ -288,7 +300,7 @@ func (s *SelfSimilar) emit() {
 	// instantaneous rate is only bounded by the injection link — exactly
 	// the bursty behaviour self-similar models capture.
 	gap := units.Time(float64(burstBytes)/float64(s.cfg.Rate)) + 1
-	s.cfg.Eng.After(gap, s.emit)
+	rearm(s.cfg.Eng, gap, s.tick)
 }
 
 // Bursts returns how many bursts this source has emitted.
@@ -315,6 +327,7 @@ type CBRConfig struct {
 type CBR struct {
 	cfg      CBRConfig
 	messages uint64
+	tick     sim.Handler // emit, bound at Start
 }
 
 // NewCBR returns a CBR source with validated parameters.
@@ -338,13 +351,14 @@ func (c *CBR) Rate() units.Bandwidth {
 
 // Start begins the stream at a random phase within one interval.
 func (c *CBR) Start() {
-	c.cfg.Eng.After(units.Time(c.cfg.Rng.Int63n(int64(c.cfg.Interval))), c.emit)
+	c.tick = sim.Func(c.emit)
+	rearm(c.cfg.Eng, units.Time(c.cfg.Rng.Int63n(int64(c.cfg.Interval))), c.tick)
 }
 
 func (c *CBR) emit() {
 	c.cfg.Host.SubmitMessage(c.cfg.Flow, c.cfg.MessageSize)
 	c.messages++
-	c.cfg.Eng.After(c.cfg.Interval, c.emit)
+	rearm(c.cfg.Eng, c.cfg.Interval, c.tick)
 }
 
 // Messages returns how many messages this source has emitted.
@@ -403,6 +417,7 @@ type VideoTrace struct {
 	cfg  VideoTraceConfig
 	pos  int
 	sent uint64
+	tick sim.Handler // emit, bound at Start
 }
 
 // NewVideoTrace returns a trace-driven video source.
@@ -432,14 +447,15 @@ func (v *VideoTrace) MeanRate() units.Bandwidth {
 // Start begins the replay at a random trace position and phase.
 func (v *VideoTrace) Start() {
 	v.pos = v.cfg.Rng.Intn(len(v.cfg.Frames))
-	v.cfg.Eng.After(units.Time(v.cfg.Rng.Int63n(int64(v.cfg.Period))), v.emit)
+	v.tick = sim.Func(v.emit)
+	rearm(v.cfg.Eng, units.Time(v.cfg.Rng.Int63n(int64(v.cfg.Period))), v.tick)
 }
 
 func (v *VideoTrace) emit() {
 	v.cfg.Host.SubmitMessage(v.cfg.Flow, v.cfg.Frames[v.pos])
 	v.pos = (v.pos + 1) % len(v.cfg.Frames)
 	v.sent++
-	v.cfg.Eng.After(v.cfg.Period, v.emit)
+	rearm(v.cfg.Eng, v.cfg.Period, v.tick)
 }
 
 // Frames returns how many frames this stream has emitted.
