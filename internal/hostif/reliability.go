@@ -307,6 +307,10 @@ type rxFlow struct {
 	next  uint64
 	have  map[uint64]struct{}
 	naked map[uint64]struct{}
+	// scanned is the end of the furthest gap scan so far: every seq in
+	// [next, scanned) is in have or naked, because a seq leaves naked only
+	// when it arrives (mark), so a later scan starts at max(next, scanned).
+	scanned uint64
 }
 
 func newRxFlow() *rxFlow {
@@ -339,7 +343,7 @@ func (r *rxFlow) mark(seq uint64) {
 // NAKed yet, marking them NAKed. Call after mark(seq).
 func (r *rxFlow) gaps(seq uint64) []uint64 {
 	var out []uint64
-	for s := r.next; s < seq; s++ {
+	for s := max(r.next, r.scanned); s < seq; s++ {
 		if _, got := r.have[s]; got {
 			continue
 		}
@@ -349,6 +353,7 @@ func (r *rxFlow) gaps(seq uint64) []uint64 {
 		r.naked[s] = struct{}{}
 		out = append(out, s)
 	}
+	r.scanned = max(r.scanned, seq)
 	return out
 }
 

@@ -19,11 +19,6 @@ type Evictor interface {
 	Evicted() (packets uint64, bytes units.Size)
 }
 
-type dropEntry struct {
-	p   *packet.Packet
-	seq uint64 // arrival order: FIFO position and EDF/eviction tie-break
-}
-
 // DropQueue is a bounded packet buffer for best-effort traffic that sheds
 // load instead of relying on upstream flow control: when a push would
 // exceed the byte capacity it discards packets until the arrival fits.
@@ -46,7 +41,7 @@ type dropEntry struct {
 // the heap and take-over disciplines cannot do — trivially deterministic.
 type DropQueue struct {
 	base
-	entries []dropEntry
+	entries []seqEntry // seq: FIFO position and EDF/eviction tie-break
 	edf     bool
 	tail    bool
 	evicted uint64
@@ -99,7 +94,7 @@ func (d *DropQueue) Push(p *packet.Packet) {
 		d.removeAt(victim, true)
 	}
 	d.pushAccounting(p, "drop")
-	d.entries = append(d.entries, dropEntry{p, d.arrivalSeq})
+	d.entries = append(d.entries, seqEntry{p, d.arrivalSeq})
 	d.arrivalSeq++
 }
 
@@ -117,7 +112,7 @@ func (d *DropQueue) drop(p *packet.Packet) {
 func (d *DropQueue) removeAt(i int, evict bool) *packet.Packet {
 	p := d.entries[i].p
 	copy(d.entries[i:], d.entries[i+1:])
-	d.entries[len(d.entries)-1] = dropEntry{}
+	d.entries[len(d.entries)-1] = seqEntry{}
 	d.entries = d.entries[:len(d.entries)-1]
 	if evict {
 		d.bytes -= p.Size

@@ -9,9 +9,16 @@ import (
 	"deadlineqos/internal/xrand"
 )
 
+// refEntry is a reference heap entry: it keys on the packet's live
+// Deadline, where heapEntry keeps a copy of it.
+type refEntry struct {
+	p   *packet.Packet
+	seq uint64
+}
+
 // refHeap is the container/heap formulation DeadlineHeap replaces, kept
 // as the reference its hand-rolled sift must reproduce.
-type refHeap []heapEntry
+type refHeap []refEntry
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -21,7 +28,7 @@ func (h refHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(heapEntry)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEntry)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -45,11 +52,11 @@ func TestDeadlineHeapMatchesContainerHeap(t *testing.T) {
 			if d.Len() == 0 || rng.Float64() < 0.55 {
 				p := pkt(units.Time(rng.Intn(12)), 64)
 				d.Push(p)
-				heap.Push(&ref, heapEntry{p, seq})
+				heap.Push(&ref, refEntry{p, seq})
 				seq++
 			} else {
 				got := d.Pop()
-				want := heap.Pop(&ref).(heapEntry).p
+				want := heap.Pop(&ref).(refEntry).p
 				if got != want {
 					t.Fatalf("seed %d op %d: Pop = packet %d (deadline %v), reference %d (deadline %v)",
 						seed, op, got.ID, got.Deadline, want.ID, want.Deadline)
@@ -86,4 +93,20 @@ func TestDeadlineHeapAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Push+Pop allocates %v times, want 0", n)
 	}
+}
+
+// TestDeadlineHeapPopPanicsOnChangedDeadline: the heap sorts on the
+// deadline each packet was pushed with, so a deadline rewritten while the
+// packet is stored would silently corrupt the order. Pop refuses it.
+func TestDeadlineHeapPopPanicsOnChangedDeadline(t *testing.T) {
+	d := NewHeap(units.Kilobyte, false)
+	p := pkt(100, 64)
+	d.Push(p)
+	p.Deadline = 50
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Pop of a packet whose deadline changed in the buffer did not panic")
+		}
+	}()
+	d.Pop()
 }

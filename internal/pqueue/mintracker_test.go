@@ -1,10 +1,12 @@
 package pqueue
 
 import (
+	"container/heap"
 	"testing"
 
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
+	"deadlineqos/internal/xrand"
 )
 
 // naiveMin is the reference model for the lazy-deletion minTracker: a flat
@@ -107,4 +109,106 @@ func FuzzMinTracker(f *testing.F) {
 		}
 		driveTracker(t, ops)
 	})
+}
+
+// refMinHeap is the container/heap formulation minTracker's hand-rolled
+// sift replaces, kept as the reference it must reproduce.
+type refMinHeap []minEntry
+
+func (h refMinHeap) Len() int           { return len(h) }
+func (h refMinHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
+func (h refMinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refMinHeap) Push(x any)        { *h = append(*h, x.(minEntry)) }
+func (h *refMinHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// refMinTracker is the lazy-deletion tracker as written on container/heap.
+type refMinTracker struct {
+	entries refMinHeap
+	dead    map[uint64]int
+}
+
+func (t *refMinTracker) add(p *packet.Packet) { heap.Push(&t.entries, minEntry{p.Deadline, p.ID}) }
+
+func (t *refMinTracker) remove(p *packet.Packet) {
+	t.dead[p.ID]++
+	for len(t.entries) > 0 {
+		top := t.entries[0]
+		n, stale := t.dead[top.id]
+		if !stale {
+			return
+		}
+		if n == 1 {
+			delete(t.dead, top.id)
+		} else {
+			t.dead[top.id] = n - 1
+		}
+		heap.Pop(&t.entries)
+	}
+}
+
+// TestMinTrackerMatchesContainerHeap drives minTracker and the
+// container/heap formulation with one pseudo-random stream of adds and
+// removes over a narrow deadline range, so ties are frequent. After every
+// operation both must hold the same entries in the same heap layout.
+func TestMinTrackerMatchesContainerHeap(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := xrand.New(seed)
+		tr := newMinTracker()
+		ref := &refMinTracker{dead: make(map[uint64]int)}
+		var live []*packet.Packet
+		for op := 0; op < 2000; op++ {
+			if len(live) == 0 || rng.Float64() < 0.55 {
+				p := pkt(units.Time(rng.Intn(12)), 64)
+				tr.add(p)
+				ref.add(p)
+				live = append(live, p)
+			} else {
+				i := rng.Intn(len(live))
+				p := live[i]
+				live = append(live[:i], live[i+1:]...)
+				tr.remove(p)
+				ref.remove(p)
+			}
+			if len(tr.entries) != len(ref.entries) || len(tr.dead) != len(ref.dead) {
+				t.Fatalf("seed %d op %d: %d entries / %d dead, reference %d / %d",
+					seed, op, len(tr.entries), len(tr.dead), len(ref.entries), len(ref.dead))
+			}
+			for i := range tr.entries {
+				if tr.entries[i] != ref.entries[i] {
+					t.Fatalf("seed %d op %d: layout differs at index %d: %+v, reference %+v",
+						seed, op, i, tr.entries[i], ref.entries[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTrackedPushPopAllocatesNothing pins the order-error oracle's steady
+// state at zero allocations per tracked Push+Pop, for every discipline.
+func TestTrackedPushPopAllocatesNothing(t *testing.T) {
+	for _, d := range []Discipline{FIFO, Heap, TakeOver} {
+		b := New(d, units.Size(1)<<40, true)
+		// A fresh packet per push (AllocsPerRun makes one extra warm-up
+		// call), deadlines mostly rising as a flow's are.
+		pkts := make([]*packet.Packet, 32+1001)
+		for i := range pkts {
+			pkts[i] = pkt(units.Time(i+i*7%23), 64)
+		}
+		for _, p := range pkts[:32] {
+			b.Push(p)
+		}
+		i := 32
+		if n := testing.AllocsPerRun(1000, func() {
+			b.Push(pkts[i])
+			b.Pop()
+			i++
+		}); n != 0 {
+			t.Errorf("%v: tracked Push+Pop allocates %v times, want 0", d, n)
+		}
+	}
 }

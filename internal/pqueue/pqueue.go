@@ -27,7 +27,6 @@
 package pqueue
 
 import (
-	"container/heap"
 	"fmt"
 
 	"deadlineqos/internal/metrics"
@@ -139,8 +138,13 @@ func New(d Discipline, capacity units.Size, trackOrderErrors bool) Buffer {
 
 // minTracker maintains the true minimum deadline of a packet multiset using
 // a lazy-deletion heap. It is measurement-only.
+//
+// The binary heap is sifted by hand rather than through container/heap,
+// which would box an entry into an any on every push and pop; up and down
+// repeat container/heap's compare and swap sequence exactly, so the heap
+// holds the layout container/heap would build.
 type minTracker struct {
-	entries minHeap
+	entries []minEntry
 	dead    map[uint64]int // packet id -> pending deletions
 }
 
@@ -149,20 +153,46 @@ type minEntry struct {
 	id       uint64
 }
 
-type minHeap []minEntry
-
-func (h minHeap) Len() int           { return len(h) }
-func (h minHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h minHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x any)        { *h = append(*h, x.(minEntry)) }
-func (h *minHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 func newMinTracker() *minTracker {
 	return &minTracker{dead: make(map[uint64]int)}
 }
 
+// up is container/heap's up.
+func (t *minTracker) up(j int) {
+	h := t.entries
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || h[j].deadline >= h[i].deadline {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down is container/heap's down over the first n entries.
+func (t *minTracker) down(i, n int) {
+	h := t.entries
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].deadline < h[j1].deadline {
+			j = j2 // right child
+		}
+		if h[j].deadline >= h[i].deadline {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
 func (t *minTracker) add(p *packet.Packet) {
-	heap.Push(&t.entries, minEntry{p.Deadline, p.ID})
+	t.entries = append(t.entries, minEntry{p.Deadline, p.ID})
+	t.up(len(t.entries) - 1)
 }
 
 func (t *minTracker) remove(p *packet.Packet) {
@@ -170,6 +200,7 @@ func (t *minTracker) remove(p *packet.Packet) {
 	t.compact()
 }
 
+// compact pops dead entries off the top of the heap.
 func (t *minTracker) compact() {
 	for len(t.entries) > 0 {
 		top := t.entries[0]
@@ -182,7 +213,10 @@ func (t *minTracker) compact() {
 		} else {
 			t.dead[top.id] = n - 1
 		}
-		heap.Pop(&t.entries)
+		last := len(t.entries) - 1
+		t.entries[0], t.entries[last] = t.entries[last], t.entries[0]
+		t.down(0, last)
+		t.entries = t.entries[:last]
 	}
 }
 
@@ -243,53 +277,60 @@ func (b *base) popAccounting(p *packet.Packet) {
 
 // --- FIFO ---------------------------------------------------------------
 
-// fifoQueue is a growable ring of packets.
-type fifoQueue struct {
-	buf        []*packet.Packet
+// ring is a growable FIFO ring of queue entries: packet pointers for Fifo,
+// packets with their arrival seq for the take-over queues.
+type ring[T any] struct {
+	buf        []T
 	head, size int
 }
 
-func (q *fifoQueue) len() int { return q.size }
+func (q *ring[T]) len() int { return q.size }
 
-func (q *fifoQueue) front() *packet.Packet {
+// front returns the oldest entry, or the zero T when empty.
+func (q *ring[T]) front() T {
 	if q.size == 0 {
-		return nil
+		var zero T
+		return zero
 	}
 	return q.buf[q.head]
 }
 
-func (q *fifoQueue) back() *packet.Packet {
+// back returns the newest entry, or the zero T when empty.
+func (q *ring[T]) back() T {
 	if q.size == 0 {
-		return nil
+		var zero T
+		return zero
 	}
 	return q.buf[(q.head+q.size-1)%len(q.buf)]
 }
 
-func (q *fifoQueue) push(p *packet.Packet) {
+func (q *ring[T]) push(x T) {
 	if q.size == len(q.buf) {
-		grown := make([]*packet.Packet, max(8, 2*len(q.buf)))
+		grown := make([]T, max(8, 2*len(q.buf)))
 		for i := 0; i < q.size; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}
 		q.buf = grown
 		q.head = 0
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = p
+	q.buf[(q.head+q.size)%len(q.buf)] = x
 	q.size++
 }
 
-func (q *fifoQueue) pop() *packet.Packet {
+// pop removes and returns the oldest entry, or the zero T when empty.
+func (q *ring[T]) pop() T {
+	var zero T
 	if q.size == 0 {
-		return nil
+		return zero
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
+	x := q.buf[q.head]
+	q.buf[q.head] = zero
 	q.head = (q.head + 1) % len(q.buf)
 	q.size--
-	return p
+	return x
 }
 
-func (q *fifoQueue) scan(fn func(*packet.Packet)) {
+func (q *ring[T]) scan(fn func(T)) {
 	for i := 0; i < q.size; i++ {
 		fn(q.buf[(q.head+i)%len(q.buf)])
 	}
@@ -298,7 +339,7 @@ func (q *fifoQueue) scan(fn func(*packet.Packet)) {
 // Fifo is a first-in first-out packet buffer.
 type Fifo struct {
 	base
-	q fifoQueue
+	q ring[*packet.Packet]
 }
 
 // NewFIFO returns an empty FIFO buffer of the given byte capacity.
@@ -336,9 +377,13 @@ func (f *Fifo) Scan(fn func(*packet.Packet)) { f.q.scan(fn) }
 
 // --- Heap ("Ideal") -------------------------------------------------------
 
+// heapEntry is a stored packet with its sort key: the deadline it was
+// pushed with and its arrival order, the EDF tie-break. Keeping the
+// deadline beside the pointer lets the heap sift without touching packets.
 type heapEntry struct {
-	p   *packet.Packet
-	seq uint64 // arrival order, the EDF tie-break
+	p        *packet.Packet
+	deadline units.Time
+	seq      uint64
 }
 
 // DeadlineHeap is the "Ideal" ordered buffer: Head is always the stored
@@ -365,8 +410,8 @@ func NewHeap(capacity units.Size, track bool) *DeadlineHeap {
 
 func (d *DeadlineHeap) less(i, j int) bool {
 	a, b := &d.h[i], &d.h[j]
-	if a.p.Deadline != b.p.Deadline {
-		return a.p.Deadline < b.p.Deadline
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
 	}
 	return a.seq < b.seq
 }
@@ -405,7 +450,7 @@ func (d *DeadlineHeap) down(i, n int) {
 // Push stores p in deadline order.
 func (d *DeadlineHeap) Push(p *packet.Packet) {
 	d.pushAccounting(p, "heap")
-	d.h = append(d.h, heapEntry{p, d.arrivalSeq})
+	d.h = append(d.h, heapEntry{p, p.Deadline, d.arrivalSeq})
 	d.up(len(d.h) - 1)
 	d.arrivalSeq++
 }
@@ -426,11 +471,15 @@ func (d *DeadlineHeap) Pop() *packet.Packet {
 	}
 	d.h[0], d.h[n] = d.h[n], d.h[0]
 	d.down(0, n)
-	p := d.h[n].p
+	e := d.h[n]
 	d.h[n] = heapEntry{}
 	d.h = d.h[:n]
-	d.popAccounting(p)
-	return p
+	if e.p.Deadline != e.deadline {
+		panic(fmt.Sprintf("pqueue: packet %d deadline changed from %v to %v while in a heap buffer",
+			e.p.ID, e.deadline, e.p.Deadline))
+	}
+	d.popAccounting(e.p)
+	return e.p
 }
 
 // Len returns the number of stored packets.
@@ -453,16 +502,22 @@ func (d *DeadlineHeap) Scan(fn func(*packet.Packet)) {
 // appendix proves never reorders a single flow's packets.
 type TakeOverQueue struct {
 	base
-	l, u     fifoQueue
-	seqOf    map[uint64]uint64 // packet id -> arrival sequence (tie-break)
-	takeOver uint64            // packets diverted to U, a direct order-pressure measure
+	l, u     ring[seqEntry]
+	takeOver uint64 // packets diverted to U, a direct order-pressure measure
+}
+
+// seqEntry is a stored packet with its arrival order, the tie-break
+// between equal deadlines.
+type seqEntry struct {
+	p   *packet.Packet
+	seq uint64
 }
 
 // NewTakeOver returns an empty two-queue buffer of the given byte capacity.
 // L and U share the capacity dynamically, as in the paper ("the two queues
 // can dynamically take all the memory allowed for the VC").
 func NewTakeOver(capacity units.Size, track bool) *TakeOverQueue {
-	t := &TakeOverQueue{base: base{capacity: capacity}, seqOf: make(map[uint64]uint64)}
+	t := &TakeOverQueue{base: base{capacity: capacity}}
 	if track {
 		t.tracker = newMinTracker()
 	}
@@ -473,15 +528,15 @@ func NewTakeOver(capacity units.Size, track bool) *TakeOverQueue {
 // empty or when D(p) ≥ D(L's tail); into U otherwise.
 func (t *TakeOverQueue) Push(p *packet.Packet) {
 	t.pushAccounting(p, "takeover")
-	t.seqOf[p.ID] = t.arrivalSeq
+	e := seqEntry{p, t.arrivalSeq}
 	t.arrivalSeq++
-	if tail := t.l.back(); tail == nil || p.Deadline >= tail.Deadline {
+	if tail := t.l.back(); tail.p == nil || p.Deadline >= tail.p.Deadline {
 		// Lemma 1 guarantees L is empty only when U is too, so an empty
 		// L tail always means "both empty → store in L".
-		t.l.push(p)
+		t.l.push(e)
 		return
 	}
-	t.u.push(p)
+	t.u.push(e)
 	t.takeOver++
 	t.mtr.TakeOvers.Inc()
 	if t.obs != nil {
@@ -489,44 +544,49 @@ func (t *TakeOverQueue) Push(p *packet.Packet) {
 	}
 }
 
-// Head returns the dequeue candidate per Definition 2: the smaller-deadline
-// head of L and U (earlier arrival wins ties).
-func (t *TakeOverQueue) Head() *packet.Packet {
+// next returns the queue whose head is the dequeue candidate per
+// Definition 2: the smaller-deadline head of L and U (earlier arrival wins
+// ties). It returns nil when both are empty.
+func (t *TakeOverQueue) next() *ring[seqEntry] {
 	lh, uh := t.l.front(), t.u.front()
 	switch {
-	case lh == nil && uh == nil:
+	case lh.p == nil && uh.p == nil:
 		return nil
-	case lh == nil:
+	case lh.p == nil:
 		// Violates Lemma 1; reaching this means the enqueue/dequeue
 		// algorithms were not followed.
 		panic("pqueue: take-over queue non-empty while ordered queue empty (Lemma 1 violated)")
-	case uh == nil:
-		return lh
-	case lh.Deadline < uh.Deadline:
-		return lh
-	case uh.Deadline < lh.Deadline:
-		return uh
-	case t.seqOf[lh.ID] < t.seqOf[uh.ID]:
-		return lh
+	case uh.p == nil:
+		return &t.l
+	case lh.p.Deadline < uh.p.Deadline:
+		return &t.l
+	case uh.p.Deadline < lh.p.Deadline:
+		return &t.u
+	case lh.seq < uh.seq:
+		return &t.l
 	default:
-		return uh
+		return &t.u
 	}
+}
+
+// Head returns the dequeue candidate.
+func (t *TakeOverQueue) Head() *packet.Packet {
+	q := t.next()
+	if q == nil {
+		return nil
+	}
+	return q.front().p
 }
 
 // Pop removes and returns the dequeue candidate.
 func (t *TakeOverQueue) Pop() *packet.Packet {
-	h := t.Head()
-	if h == nil {
+	q := t.next()
+	if q == nil {
 		return nil
 	}
-	if t.l.front() == h {
-		t.l.pop()
-	} else {
-		t.u.pop()
-	}
-	delete(t.seqOf, h.ID)
-	t.popAccounting(h)
-	return h
+	p := q.pop().p
+	t.popAccounting(p)
+	return p
 }
 
 // Len returns the number of stored packets.
@@ -534,8 +594,9 @@ func (t *TakeOverQueue) Len() int { return t.l.len() + t.u.len() }
 
 // Scan visits L front-to-back, then U front-to-back.
 func (t *TakeOverQueue) Scan(fn func(*packet.Packet)) {
-	t.l.scan(fn)
-	t.u.scan(fn)
+	visit := func(e seqEntry) { fn(e.p) }
+	t.l.scan(visit)
+	t.u.scan(visit)
 }
 
 // TakeOvers returns how many pushed packets were diverted to the take-over

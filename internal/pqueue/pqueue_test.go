@@ -268,11 +268,11 @@ func TestTakeOverEqualHeadsFIFOTieBreak(t *testing.T) {
 func orderedQueueSorted(q *TakeOverQueue) bool {
 	prev := units.Time(-1 << 62)
 	ok := true
-	q.l.scan(func(p *packet.Packet) {
-		if p.Deadline < prev {
+	q.l.scan(func(e seqEntry) {
+		if e.p.Deadline < prev {
 			ok = false
 		}
-		prev = p.Deadline
+		prev = e.p.Deadline
 	})
 	return ok
 }
@@ -282,7 +282,7 @@ func maxIsLTail(q *TakeOverQueue) bool {
 	if q.Len() == 0 {
 		return true
 	}
-	tail := q.l.back()
+	tail := q.l.back().p
 	if tail == nil {
 		return false // Lemma 1 violated
 	}

@@ -20,16 +20,23 @@
 // conversion to Handler does not allocate either. Every event, typed or
 // not, fires through the same Handler.Fire call.
 //
-// Implementation notes: simulations execute tens of millions of events, so
-// the pending set is a hand-rolled 4-ary heap (shallower than a binary heap,
-// fewer cache misses per sift) and fired Event records are recycled through
-// a free list to keep the scheduler allocation-free in steady state.
-// Time-performance-sensitive code lives here; everything else in the
-// simulator favours clarity.
+// Implementation notes: simulations execute tens of millions of events, and
+// almost all of them are due within a few microseconds of the clock (credit
+// returns, link and crossbar completions). The pending set is therefore a
+// hashed timing wheel (Varghese and Lauck, SOSP '87) of wheelSpan one-cycle
+// slots for events due soon, found through an occupancy bitmap, plus a
+// hand-rolled 4-ary heap for events due later (traffic emission, timers).
+// Each slot keeps its events in (channel, seq) order, and the next event is
+// the smaller of the wheel's and the heap's heads under the full (time,
+// channel, seq) key, so the split changes the cost of scheduling, never the
+// order. Fired Event records are recycled through a free list to keep the
+// scheduler allocation-free in steady state. Time-performance-sensitive code
+// lives here; everything else in the simulator favours clarity.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/packet"
@@ -80,13 +87,20 @@ func (f Func) Fire(Kind, *packet.Packet, uint64, uint64) { f() }
 // Event is a scheduled Payload. Events are owned and recycled by the
 // Engine; user code refers to them through Handles.
 type Event struct {
-	at  units.Time
-	seq uint64 // FIFO tie-break among same-cycle, same-channel events
-	ch  uint32 // ordering channel; 0 for plain At/After events
-	gen uint32 // incremented on recycle, invalidating stale Handles
-	idx int    // heap index, -1 when not queued
-	pl  Payload
+	at         units.Time
+	seq        uint64 // FIFO tie-break among same-cycle, same-channel events
+	ch         uint32 // ordering channel; 0 for plain At/After events
+	gen        uint32 // incremented on recycle, invalidating stale Handles
+	idx        int    // far-heap index, inWheel in a wheel slot, notQueued otherwise
+	prev, next *Event // neighbours in the event's wheel slot
+	pl         Payload
 }
+
+// Event.idx values other than a far-heap index.
+const (
+	notQueued = -1 // fired or cancelled
+	inWheel   = -2 // held in a wheel slot
+)
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
 // Handle is a valid "no event" handle.
@@ -97,13 +111,37 @@ type Handle struct {
 
 // Pending reports whether the handle refers to an event that has not yet
 // fired or been cancelled.
-func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen && h.ev.idx >= 0 }
+func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen && h.ev.idx != notQueued }
+
+// The timing wheel has wheelSpan one-cycle slots. An event due less than
+// wheelSpan cycles after the engine's base goes to slot at&wheelMask;
+// later events wait in the far heap. 4096 cycles (4.1 µs at the reference
+// bandwidth) covers the link, credit and crossbar delays of an MTU packet
+// on a link at full rate: 98% of the posts of the full-load 16-host Clos.
+const (
+	wheelSpan = 4096
+	wheelMask = wheelSpan - 1
+)
+
+// slot is one wheel slot: a doubly linked list of events due at the same
+// cycle, kept in (channel, seq) order.
+type slot struct{ head, tail *Event }
 
 // Engine is a discrete-event simulator core. It is not safe for concurrent
 // use; each simulation run owns one Engine on one goroutine.
 type Engine struct {
-	now        units.Time
-	heap       []*Event
+	now units.Time
+	// base never decreases and bounds the wheel from below: it is the
+	// latest time an event fired at, or a horizon Run advanced the clock
+	// to with nothing due before it. Only events due in
+	// [base, base+wheelSpan) enter the wheel, so each slot holds a single
+	// cycle and the first occupied slot at or after base's, wrapping,
+	// holds the earliest of them.
+	base       units.Time
+	slots      [wheelSpan]slot
+	occ        [wheelSpan / 64]uint64 // bit i set when slots[i] is non-empty
+	wheelLen   int
+	far        []*Event // 4-ary heap of events due beyond the wheel when posted
 	free       []*Event
 	nextSeq    uint64
 	stopped    bool
@@ -129,7 +167,7 @@ func (e *Engine) Now() units.Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.wheelLen + len(e.far) }
 
 // MaxPending returns the high-water mark of the pending event set over the
 // engine's lifetime — the profiling proxy for scheduler memory pressure.
@@ -159,27 +197,99 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// --- timing wheel ----------------------------------------------------------
+
+// link appends ev to its wheel slot. ev carries the engine's newest seq,
+// so it goes after every slot event on a channel at or below its own.
+func (e *Engine) link(ev *Event) {
+	i := int(ev.at & wheelMask)
+	s := &e.slots[i]
+	p := s.tail
+	for p != nil && p.ch > ev.ch {
+		p = p.prev
+	}
+	ev.prev = p
+	if p == nil {
+		ev.next = s.head
+		s.head = ev
+	} else {
+		ev.next = p.next
+		p.next = ev
+	}
+	if ev.next == nil {
+		s.tail = ev
+	} else {
+		ev.next.prev = ev
+	}
+	ev.idx = inWheel
+	e.occ[i>>6] |= 1 << (i & 63)
+	e.wheelLen++
+}
+
+// unlink removes ev from its wheel slot.
+func (e *Engine) unlink(ev *Event) {
+	i := int(ev.at & wheelMask)
+	s := &e.slots[i]
+	if ev.prev == nil {
+		s.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if ev.next == nil {
+		s.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	ev.prev, ev.next = nil, nil
+	if s.head == nil {
+		e.occ[i>>6] &^= 1 << (i & 63)
+	}
+	ev.idx = notQueued
+	e.wheelLen--
+}
+
+// firstSlot returns the first occupied slot at or after base's, wrapping
+// round: the slot of the earliest wheel event. The wheel must be non-empty.
+func (e *Engine) firstSlot() int {
+	i := int(e.base & wheelMask)
+	w := i >> 6
+	if b := e.occ[w] >> (i & 63); b != 0 {
+		return i + bits.TrailingZeros64(b)
+	}
+	// The bits of word w at or above i are clear, so meeting w again at
+	// the end of the loop finds only the slots before i.
+	for range e.occ {
+		w = (w + 1) & (len(e.occ) - 1)
+		if b := e.occ[w]; b != 0 {
+			return w<<6 + bits.TrailingZeros64(b)
+		}
+	}
+	panic("sim: wheel count and occupancy bitmap disagree")
+}
+
+// --- far heap --------------------------------------------------------------
+
 // siftUp restores heap order from index i upward.
 func (e *Engine) siftUp(i int) {
-	ev := e.heap[i]
+	ev := e.far[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		p := e.heap[parent]
+		p := e.far[parent]
 		if !less(ev, p) {
 			break
 		}
-		e.heap[i] = p
+		e.far[i] = p
 		p.idx = i
 		i = parent
 	}
-	e.heap[i] = ev
+	e.far[i] = ev
 	ev.idx = i
 }
 
 // siftDown restores heap order from index i downward.
 func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	ev := e.heap[i]
+	n := len(e.far)
+	ev := e.far[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -191,56 +301,80 @@ func (e *Engine) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if less(e.heap[c], e.heap[min]) {
+			if less(e.far[c], e.far[min]) {
 				min = c
 			}
 		}
-		if !less(e.heap[min], ev) {
+		if !less(e.far[min], ev) {
 			break
 		}
-		e.heap[i] = e.heap[min]
-		e.heap[i].idx = i
+		e.far[i] = e.far[min]
+		e.far[i].idx = i
 		i = min
 	}
-	e.heap[i] = ev
+	e.far[i] = ev
 	ev.idx = i
 }
 
-// pop removes and returns the earliest event.
-func (e *Engine) pop() *Event {
-	top := e.heap[0]
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap[0].idx = 0
-	e.heap[n] = nil
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-	top.idx = -1
-	return top
-}
-
-// remove deletes the event at heap index i.
+// remove deletes the event at far-heap index i.
 func (e *Engine) remove(i int) {
-	n := len(e.heap) - 1
-	ev := e.heap[i]
+	n := len(e.far) - 1
+	ev := e.far[i]
 	if i != n {
-		moved := e.heap[n]
-		e.heap[i] = moved
+		moved := e.far[n]
+		e.far[i] = moved
 		moved.idx = i
-		e.heap[n] = nil
-		e.heap = e.heap[:n]
+		e.far[n] = nil
+		e.far = e.far[:n]
 		if less(moved, ev) {
 			e.siftUp(i)
 		} else {
 			e.siftDown(i)
 		}
 	} else {
-		e.heap[n] = nil
-		e.heap = e.heap[:n]
+		e.far[n] = nil
+		e.far = e.far[:n]
 	}
-	ev.idx = -1
+	ev.idx = notQueued
+}
+
+// --- scheduling --------------------------------------------------------------
+
+// head returns the earliest pending event, or nil when none is pending.
+func (e *Engine) head() *Event {
+	var w *Event
+	if e.wheelLen > 0 {
+		w = e.slots[e.firstSlot()].head
+	}
+	if len(e.far) > 0 && (w == nil || less(e.far[0], w)) {
+		return e.far[0]
+	}
+	return w
+}
+
+// dequeue removes a pending event from the wheel or the far heap.
+func (e *Engine) dequeue(ev *Event) {
+	if ev.idx == inWheel {
+		e.unlink(ev)
+	} else {
+		e.remove(ev.idx)
+	}
+}
+
+// fire runs ev, the head of the pending set.
+func (e *Engine) fire(ev *Event) {
+	e.dequeue(ev)
+	e.now = ev.at
+	if ev.at > e.base {
+		e.base = ev.at
+	}
+	e.fired++
+	if e.evCnt != nil {
+		e.evCnt.Inc()
+	}
+	pl := ev.pl
+	e.recycle(ev)
+	pl.H.Fire(pl.Kind, pl.Pkt, pl.A, pl.B)
 }
 
 // alloc takes an Event from the free list or allocates one.
@@ -298,12 +432,18 @@ func (e *Engine) Post(at units.Time, ch uint32, pl Payload) Handle {
 	}
 	ev := e.alloc(at, pl)
 	ev.ch = ch
-	ev.idx = len(e.heap)
-	e.heap = append(e.heap, ev)
-	if len(e.heap) > e.maxPending {
-		e.maxPending = len(e.heap)
+	// Unsigned, so an event before base (possible only after Run was given
+	// a horizon behind the clock) goes to the heap as well.
+	if uint64(at-e.base) < wheelSpan {
+		e.link(ev)
+	} else {
+		ev.idx = len(e.far)
+		e.far = append(e.far, ev)
+		e.siftUp(ev.idx)
 	}
-	e.siftUp(ev.idx)
+	if n := e.Pending(); n > e.maxPending {
+		e.maxPending = n
+	}
 	return Handle{ev, ev.gen}
 }
 
@@ -321,7 +461,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	if !h.Pending() {
 		return false
 	}
-	e.remove(h.ev.idx)
+	e.dequeue(h.ev)
 	e.recycle(h.ev)
 	return true
 }
@@ -340,10 +480,11 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // PeekTime returns the firing time of the earliest pending event. ok is
 // false when no events are pending.
 func (e *Engine) PeekTime() (at units.Time, ok bool) {
-	if len(e.heap) == 0 {
+	ev := e.head()
+	if ev == nil {
 		return 0, false
 	}
-	return e.heap[0].at, true
+	return ev.at, true
 }
 
 // Run executes events in order until the queue is empty, Stop is called,
@@ -358,24 +499,25 @@ func (e *Engine) PeekTime() (at units.Time, ok bool) {
 // current clock as if Stop had never happened.
 func (e *Engine) Run(until units.Time) {
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 {
-		next := e.heap[0]
+	for !e.stopped {
+		next := e.head()
+		if next == nil {
+			break
+		}
 		if next.at > until {
 			e.now = until
+			if until > e.base {
+				e.base = until
+			}
 			return
 		}
-		e.pop()
-		e.now = next.at
-		e.fired++
-		if e.evCnt != nil {
-			e.evCnt.Inc()
-		}
-		pl := next.pl
-		e.recycle(next)
-		pl.H.Fire(pl.Kind, pl.Pkt, pl.A, pl.B)
+		e.fire(next)
 	}
 	if e.now < until {
 		e.now = until
+		if e.Pending() == 0 {
+			e.base = until
+		}
 	}
 }
 
@@ -384,15 +526,11 @@ func (e *Engine) Run(until units.Time) {
 // should use Run with an explicit horizon.
 func (e *Engine) Drain() {
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 {
-		next := e.pop()
-		e.now = next.at
-		e.fired++
-		if e.evCnt != nil {
-			e.evCnt.Inc()
+	for !e.stopped {
+		next := e.head()
+		if next == nil {
+			return
 		}
-		pl := next.pl
-		e.recycle(next)
-		pl.H.Fire(pl.Kind, pl.Pkt, pl.A, pl.B)
+		e.fire(next)
 	}
 }

@@ -31,6 +31,7 @@ package switchsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"deadlineqos/internal/arbiter"
 	"deadlineqos/internal/arch"
@@ -138,6 +139,8 @@ type inputPort struct {
 	pool     [packet.NumVCs]units.Size
 	busy     bool
 	upstream link.CreditReturner
+	// waiting holds the outputs this port has a packet for on any VC.
+	waiting bitset
 
 	// The (single) crossbar transfer in flight from this port, tracked so
 	// Audit can reconcile the pool and SetDown knows what finishTransfer
@@ -166,6 +169,38 @@ type outputPort struct {
 	// this output on a guarded VC, the occupancy guard's fairness state.
 	// Allocated only when the guard is on.
 	served [packet.NumVCs][]units.Size
+
+	// backlog[vc] holds the inputs whose VOQ for this output on vc is
+	// non-empty: the only inputs arbitration has to look at.
+	backlog [packet.NumVCs]bitset
+}
+
+// bitset is a set of port indices.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// next returns the smallest member at or above i, or -1. Loops written
+// "for i := b.next(0); i >= 0; i = b.next(i + 1)" visit members in
+// ascending order and see every change the body makes to later bits.
+func (b bitset) next(i int) int {
+	w := i >> 6
+	if w >= len(b) {
+		return -1
+	}
+	if x := b[w] >> (i & 63); x != 0 {
+		return i + bits.TrailingZeros64(x)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
 }
 
 // New builds a switch. Ports must then be wired with ConnectUpstream /
@@ -180,7 +215,7 @@ func New(cfg Config) *Switch {
 	}
 	s := &Switch{cfg: cfg}
 	for i := 0; i < cfg.Radix; i++ {
-		ip := &inputPort{sw: s, idx: i}
+		ip := &inputPort{sw: s, idx: i, waiting: newBitset(cfg.Radix)}
 		for vc := 0; vc < packet.NumVCs; vc++ {
 			ip.voq[vc] = make([]pqueue.Buffer, cfg.Radix)
 			for o := 0; o < cfg.Radix; o++ {
@@ -198,6 +233,7 @@ func New(cfg Config) *Switch {
 		op := &outputPort{sw: s, idx: i}
 		for vc := 0; vc < packet.NumVCs; vc++ {
 			op.cands[vc] = make([]arbiter.Candidate, 0, cfg.Radix)
+			op.backlog[vc] = newBitset(cfg.Radix)
 			op.buf[vc] = pqueue.New(cfg.Arch.Discipline(packet.VC(vc)), cfg.BufPerVC, cfg.TrackOrderErrors)
 			op.buf[vc].SetMetrics(cfg.Metrics.Buf)
 			if cfg.Tracer != nil {
@@ -307,8 +343,35 @@ func (s *Switch) receive(in int, p *packet.Packet) {
 			served[in] = floor
 		}
 	}
-	ip.voq[vc][o].Push(p)
+	s.pushVOQ(ip, vc, o, p)
 	s.tryXbar(o)
+}
+
+// pushVOQ queues p in ip's VOQ for output o on vc and records the backlog
+// in both occupancy bitmaps.
+func (s *Switch) pushVOQ(ip *inputPort, vc packet.VC, o int, p *packet.Packet) {
+	ip.voq[vc][o].Push(p)
+	s.out[o].backlog[vc].set(ip.idx)
+	ip.waiting.set(o)
+}
+
+// popVOQ removes the head of ip's VOQ for output o on vc, clearing the
+// occupancy bits the queue no longer justifies.
+func (s *Switch) popVOQ(ip *inputPort, vc packet.VC, o int) *packet.Packet {
+	q := ip.voq[vc][o]
+	p := q.Pop()
+	if q.Len() > 0 {
+		return p
+	}
+	op := s.out[o]
+	op.backlog[vc].clear(ip.idx)
+	for v := range op.backlog {
+		if op.backlog[v].has(ip.idx) {
+			return p
+		}
+	}
+	ip.waiting.clear(o)
+	return p
 }
 
 // tryXbar attempts to start one crossbar transfer toward output o.
@@ -325,13 +388,14 @@ func (s *Switch) tryXbar(o int) {
 	cands := &op.cands
 	for vc := 0; vc < packet.NumVCs; vc++ {
 		cands[vc] = cands[vc][:0]
+		backlog := op.backlog[vc]
 		free := op.buf[vc].Free()
 		ceiling := units.Size(-1)
 		if s.guarded(packet.VC(vc)) {
 			first := true
 			var min units.Size
-			for i, ip := range s.in {
-				if !s.guardedInput(i) || ip.voq[vc][o].Len() == 0 {
+			for i := backlog.next(0); i >= 0; i = backlog.next(i + 1) {
+				if !s.guardedInput(i) {
 					continue
 				}
 				if v := op.served[vc][i]; first || v < min {
@@ -342,14 +406,15 @@ func (s *Switch) tryXbar(o int) {
 				ceiling = min + s.cfg.GuardBytes
 			}
 		}
-		for i, ip := range s.in {
+		for i := backlog.next(0); i >= 0; i = backlog.next(i + 1) {
+			ip := s.in[i]
 			if ip.busy {
 				continue
 			}
 			if ceiling >= 0 && s.guardedInput(i) && op.served[vc][i] > ceiling {
 				continue
 			}
-			if h := ip.voq[vc][o].Head(); h != nil && h.Size <= free {
+			if h := ip.voq[vc][o].Head(); h.Size <= free {
 				cands[vc] = append(cands[vc], arbiter.Candidate{Pkt: h, Source: i})
 			}
 		}
@@ -365,7 +430,7 @@ func (s *Switch) tryXbar(o int) {
 
 // startTransfer moves the head of ip's VOQ for op through the crossbar.
 func (s *Switch) startTransfer(ip *inputPort, op *outputPort, vc packet.VC) {
-	p := ip.voq[vc][op.idx].Pop()
+	p := s.popVOQ(ip, vc, op.idx)
 	if s.cfg.Tracer != nil && p.Sampled {
 		// The per-hop slack distribution of the deadline telemetry is fed
 		// from exactly this event (trace.Tracer aggregates VOQ dequeues).
@@ -450,11 +515,8 @@ func (s *Switch) SetDown(down bool) bool {
 	for _, ip := range s.in {
 		for vc := 0; vc < packet.NumVCs; vc++ {
 			for o := 0; o < s.cfg.Radix; o++ {
-				for {
-					p := ip.voq[vc][o].Pop()
-					if p == nil {
-						break
-					}
+				for ip.voq[vc][o].Len() > 0 {
+					p := s.popVOQ(ip, packet.VC(vc), o)
 					ip.pool[vc] -= p.Size
 					if ip.upstream != nil {
 						ip.upstream.ReturnCredits(packet.VC(vc), p.Size)
@@ -487,8 +549,9 @@ func (s *Switch) Dropped() uint64 { return s.dropped }
 
 // Audit verifies the switch's internal buffer accounting: every input
 // port's per-VC pool must equal the bytes actually queued in its VOQs plus
-// the in-flight crossbar transfer it still holds. The soak harness calls
-// this after every epoch as the switch-level credit-leak check.
+// the in-flight crossbar transfer it still holds, and every occupancy bit
+// arbitration reads must match its VOQs. The soak harness calls this after
+// every epoch as the switch-level credit-leak check.
 func (s *Switch) Audit() error {
 	for _, ip := range s.in {
 		var want [packet.NumVCs]units.Size
@@ -510,21 +573,29 @@ func (s *Switch) Audit() error {
 					s.cfg.ID, ip.idx, vc, ip.pool[vc], s.cfg.BufPerVC)
 			}
 		}
+		for o, op := range s.out {
+			waiting := false
+			for vc := range op.backlog {
+				n := ip.voq[vc][o].Len()
+				waiting = waiting || n > 0
+				if op.backlog[vc].has(ip.idx) != (n > 0) {
+					return fmt.Errorf("switch %d input %d vc %d: backlog bit for output %d disagrees with its %d queued packets",
+						s.cfg.ID, ip.idx, vc, o, n)
+				}
+			}
+			if ip.waiting.has(o) != waiting {
+				return fmt.Errorf("switch %d input %d: waiting bit for output %d disagrees with its VOQs", s.cfg.ID, ip.idx, o)
+			}
+		}
 	}
 	return nil
 }
 
-// retryInput re-arbitrates the outputs the freed input has traffic for.
+// retryInput re-arbitrates the outputs the freed input has traffic for,
+// in port order.
 func (s *Switch) retryInput(ip *inputPort) {
-	for o := 0; o < s.cfg.Radix; o++ {
-		waiting := false
-		for vc := 0; vc < packet.NumVCs; vc++ {
-			if ip.voq[vc][o].Len() > 0 {
-				waiting = true
-				break
-			}
-		}
-		if waiting && !s.out[o].busy {
+	for o := ip.waiting.next(0); o >= 0; o = ip.waiting.next(o + 1) {
+		if !s.out[o].busy {
 			s.tryXbar(o)
 		}
 	}

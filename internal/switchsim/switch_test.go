@@ -39,16 +39,17 @@ func (sn *sinkNode) Receive(p *packet.Packet) {
 }
 
 func newRig(t *testing.T, a arch.Arch, radix int, bufPerVC units.Size) *rig {
+	return newRigConfig(t, Config{Radix: radix, Arch: a, BufPerVC: bufPerVC, TrackOrderErrors: true})
+}
+
+// newRigConfig wires a rig around a switch built from cfg, filling in its
+// engine and clock.
+func newRigConfig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	eng := sim.New()
-	sw := New(Config{
-		Eng:              eng,
-		Clock:            packet.Clock{Base: eng.Now},
-		Radix:            radix,
-		Arch:             a,
-		BufPerVC:         bufPerVC,
-		TrackOrderErrors: true,
-	})
+	cfg.Eng, cfg.Clock = eng, packet.Clock{Base: eng.Now}
+	sw := New(cfg)
+	radix, bufPerVC := cfg.Radix, cfg.BufPerVC
 	r := &rig{eng: eng, sw: sw}
 	for p := 0; p < radix; p++ {
 		up := link.New(eng, 1, 5, bufPerVC, sw.InputReceiver(p))
