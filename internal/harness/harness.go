@@ -11,7 +11,6 @@ import (
 
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/network"
-	"deadlineqos/internal/report"
 	"deadlineqos/internal/stats"
 )
 
@@ -152,56 +151,4 @@ func (p ReplicatedPoint) MeanStd(metric func(*network.Results) float64) (mean, s
 		}
 	}
 	return s.Mean(), s.StdDev()
-}
-
-// PerfTable renders the engine profile of every successful point in a
-// sweep: shard count, event throughput, wall clock per simulated second,
-// peak event queue depth, and allocation volume. Failed points are
-// skipped.
-func PerfTable(title string, points []Point) *report.Table {
-	t := report.NewTable(title,
-		"arch", "load", "shards", "events", "Mev/s", "wall/sim", "max pending", "allocs", "alloc MiB", "allocs/ev")
-	for _, p := range points {
-		if p.Err != nil || p.Res == nil {
-			continue
-		}
-		pf := p.Res.Perf
-		t.AddF(p.Arch.String(), p.Load, shardsOf(p.Res), pf.Events, pf.EventsPerSec/1e6,
-			pf.WallPerSimSec, pf.MaxPending, pf.Mallocs, float64(pf.AllocBytes)/(1<<20),
-			pf.MallocsPerEvent)
-	}
-	return t
-}
-
-func shardsOf(r *network.Results) int {
-	if r.Config.Shards > 1 {
-		return r.Config.Shards
-	}
-	return 1
-}
-
-// SpeedupTable compares a sharded sweep against its sequential baseline,
-// point by point (both sweeps must cover the same architecture x load
-// grid, as two Sweep calls with equal archs/loads do). Speedup is the
-// wall-clock ratio; the results themselves are identical by construction,
-// so wall clock is the only thing sharding changes.
-func SpeedupTable(title string, baseline, sharded []Point) *report.Table {
-	t := report.NewTable(title,
-		"arch", "load", "shards", "seq wall (ms)", "par wall (ms)", "speedup")
-	for i := range sharded {
-		if i >= len(baseline) {
-			break
-		}
-		b, p := baseline[i], sharded[i]
-		if b.Err != nil || p.Err != nil || b.Res == nil || p.Res == nil {
-			continue
-		}
-		speedup := 0.0
-		if p.Res.Perf.WallNs > 0 {
-			speedup = float64(b.Res.Perf.WallNs) / float64(p.Res.Perf.WallNs)
-		}
-		t.AddF(p.Arch.String(), p.Load, shardsOf(p.Res),
-			float64(b.Res.Perf.WallNs)/1e6, float64(p.Res.Perf.WallNs)/1e6, speedup)
-	}
-	return t
 }

@@ -253,6 +253,7 @@ type SelfSimilarConfig struct {
 // destinations.
 type SelfSimilar struct {
 	cfg    SelfSimilarConfig
+	size   xrand.BoundedPareto // frame sizes in bytes
 	bursts uint64
 	tick   sim.Handler // emit, bound at Start
 }
@@ -269,7 +270,10 @@ func NewSelfSimilar(cfg SelfSimilarConfig) *SelfSimilar {
 		// Shapes <= 1 have unbounded mean: the pacing would diverge.
 		panic("traffic: Pareto shape parameters must exceed 1")
 	}
-	return &SelfSimilar{cfg: cfg}
+	return &SelfSimilar{
+		cfg:  cfg,
+		size: xrand.NewBoundedPareto(cfg.SizeAlpha, float64(cfg.MinFrame), float64(cfg.MaxFrame)),
+	}
 }
 
 // Name identifies the source.
@@ -289,8 +293,7 @@ func (s *SelfSimilar) emit() {
 	}
 	var burstBytes units.Size
 	for i := 0; i < frames; i++ {
-		size := units.Size(s.cfg.Rng.BoundedPareto(s.cfg.SizeAlpha,
-			float64(s.cfg.MinFrame), float64(s.cfg.MaxFrame)))
+		size := units.Size(s.size.Draw(s.cfg.Rng))
 		s.cfg.Host.SubmitMessage(flow, size)
 		burstBytes += size
 	}

@@ -135,25 +135,40 @@ func (r *Rand) Pareto(alpha, xm float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// BoundedPareto returns a Pareto-distributed float64 with shape alpha
-// truncated to [lo, hi] by inverse-CDF sampling of the truncated
-// distribution (not by rejection, so the stream consumption is constant).
-// The paper's self-similar traffic uses packet and burst sizes drawn from
-// such a distribution.
-func (r *Rand) BoundedPareto(alpha, lo, hi float64) float64 {
-	if lo >= hi {
-		return lo
+// BoundedPareto is a Pareto distribution with shape alpha truncated to
+// [lo, hi], sampled by inverse CDF (not by rejection, so the stream
+// consumption is constant). The paper's self-similar traffic draws frame
+// sizes from it. Build one per source with NewBoundedPareto: it holds the
+// bounds' constant powers, so a draw costs one math.Pow.
+type BoundedPareto struct {
+	alpha, lo, hi float64
+	la, ha        float64 // lo^alpha and hi^alpha
+}
+
+// NewBoundedPareto returns the Pareto distribution with shape alpha
+// truncated to [lo, hi]. With lo >= hi every draw is lo.
+func NewBoundedPareto(alpha, lo, hi float64) BoundedPareto {
+	return BoundedPareto{
+		alpha: alpha, lo: lo, hi: hi,
+		la: math.Pow(lo, alpha), ha: math.Pow(hi, alpha),
+	}
+}
+
+// Draw returns one sample, consuming one Float64 from r (none when the
+// support is degenerate).
+func (d *BoundedPareto) Draw(r *Rand) float64 {
+	if d.lo >= d.hi {
+		return d.lo
 	}
 	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
+	la, ha := d.la, d.ha
 	// Inverse CDF of the bounded Pareto distribution.
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	if x < lo {
-		x = lo
+	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/d.alpha)
+	if x < d.lo {
+		x = d.lo
 	}
-	if x > hi {
-		x = hi
+	if x > d.hi {
+		x = d.hi
 	}
 	return x
 }

@@ -144,9 +144,9 @@ func TestParetoTail(t *testing.T) {
 
 func TestBoundedParetoStaysInBounds(t *testing.T) {
 	prop := func(seed uint64) bool {
-		r := New(seed)
+		r, d := New(seed), NewBoundedPareto(1.3, 128, 102400)
 		for i := 0; i < 100; i++ {
-			v := r.BoundedPareto(1.3, 128, 102400)
+			v := d.Draw(r)
 			if v < 128 || v > 102400 {
 				return false
 			}
@@ -160,10 +160,11 @@ func TestBoundedParetoStaysInBounds(t *testing.T) {
 
 func TestBoundedParetoDegenerate(t *testing.T) {
 	r := New(10)
-	if v := r.BoundedPareto(1.3, 100, 100); v != 100 {
+	point, inverted := NewBoundedPareto(1.3, 100, 100), NewBoundedPareto(1.3, 100, 50)
+	if v := point.Draw(r); v != 100 {
 		t.Fatalf("degenerate BoundedPareto = %v, want 100", v)
 	}
-	if v := r.BoundedPareto(1.3, 100, 50); v != 100 {
+	if v := inverted.Draw(r); v != 100 {
 		t.Fatalf("inverted-bounds BoundedPareto = %v, want lo", v)
 	}
 }
@@ -171,12 +172,12 @@ func TestBoundedParetoDegenerate(t *testing.T) {
 func TestBoundedParetoSkew(t *testing.T) {
 	// The bounded Pareto must remain right-skewed: the median should sit
 	// well below the midpoint of the support.
-	r := New(11)
+	r, d := New(11), NewBoundedPareto(1.3, 128, 102400)
 	const n = 50000
 	below := 0
 	mid := (128.0 + 102400.0) / 2
 	for i := 0; i < n; i++ {
-		if r.BoundedPareto(1.3, 128, 102400) < mid {
+		if d.Draw(r) < mid {
 			below++
 		}
 	}
