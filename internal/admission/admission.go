@@ -15,19 +15,9 @@ package admission
 import (
 	"fmt"
 
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/topology"
 	"deadlineqos/internal/units"
 )
-
-// Metrics bundles the admission-control instruments of the metrics
-// plane: reservation grants, refusals, and releases. All instrument
-// methods are nil-safe, so the zero value disables recording.
-type Metrics struct {
-	Reserves *metrics.Counter
-	Rejects  *metrics.Counter
-	Releases *metrics.Counter
-}
 
 // linkKey identifies a directed switch output link.
 type linkKey struct {
@@ -73,14 +63,15 @@ type Controller struct {
 	byLink map[linkKey][]FlowHandle
 	byHost [][]FlowHandle
 
-	mtr Metrics
+	// Reserve and Release outcomes over the controller's lifetime.
+	reserves, rejects, releases uint64
 }
 
-// SetMetrics installs the controller's metric instruments (the zero
-// Metrics disables them). The controller runs entirely on the manager
-// host's shard — pre-run setup happens before the shard goroutines
-// start — so the instruments may come from that shard's metrics set.
-func (c *Controller) SetMetrics(m Metrics) { c.mtr = m }
+// Counts returns how many reservations Reserve granted and refused, and
+// how many Release returned, since the controller was built.
+func (c *Controller) Counts() (reserves, rejects, releases uint64) {
+	return c.reserves, c.rejects, c.releases
+}
 
 // FlowHandle identifies an admitted reservation for later release.
 type FlowHandle uint64
@@ -207,20 +198,20 @@ func ports(hops []topology.Hop) []int {
 // every path would oversubscribe some link.
 func (c *Controller) Reserve(src, dst int, bw units.Bandwidth) ([]int, FlowHandle, error) {
 	if src == dst {
-		c.mtr.Rejects.Inc()
+		c.rejects++
 		return nil, 0, fmt.Errorf("admission: flow to self (host %d)", src)
 	}
 	if bw <= 0 {
-		c.mtr.Rejects.Inc()
+		c.rejects++
 		return nil, 0, fmt.Errorf("admission: non-positive bandwidth %v", bw)
 	}
 	if c.injDead(src) || c.injDead(dst) {
-		c.mtr.Rejects.Inc()
+		c.rejects++
 		return nil, 0, fmt.Errorf("admission: host %d or %d is unreachable (dead attachment)", src, dst)
 	}
 	injLimit := units.Bandwidth(c.maxUtil * (1 - c.leasedHost[src]) * float64(c.linkBW))
 	if c.hostInj[src]+bw > injLimit {
-		c.mtr.Rejects.Inc()
+		c.rejects++
 		return nil, 0, fmt.Errorf("admission: host %d injection link full (%v reserved, %v requested, %v limit)",
 			src, c.hostInj[src], bw, injLimit)
 	}
@@ -258,7 +249,7 @@ func (c *Controller) Reserve(src, dst int, bw units.Bandwidth) ([]int, FlowHandl
 	if bestChoice >= 0 {
 		hops = c.topo.Path(src, dst, bestChoice)
 	} else if hops = c.repairCandidate(src, dst, bw); hops == nil {
-		c.mtr.Rejects.Inc()
+		c.rejects++
 		return nil, 0, fmt.Errorf("admission: no path from %d to %d can carry %v more", src, dst, bw)
 	}
 	c.nextFH++
@@ -270,7 +261,7 @@ func (c *Controller) Reserve(src, dst int, bw units.Bandwidth) ([]int, FlowHandl
 	c.hostInj[src] += bw
 	c.byHost[src] = append(c.byHost[src], c.nextFH)
 	c.flows[c.nextFH] = reservation{src: src, bw: bw, hops: hops}
-	c.mtr.Reserves.Inc()
+	c.reserves++
 	return ports(hops), c.nextFH, nil
 }
 
@@ -369,7 +360,7 @@ func (c *Controller) Release(h FlowHandle) {
 		panic(fmt.Sprintf("admission: double release of flow handle %d", h))
 	}
 	delete(c.flows, h)
-	c.mtr.Releases.Inc()
+	c.releases++
 	for _, hop := range r.hops {
 		k := linkKey{hop.Switch, hop.OutPort}
 		c.byLink[k] = dropHandle(c.byLink[k], h)

@@ -243,6 +243,9 @@ func TestReleaseReturnsBandwidth(t *testing.T) {
 	if _, _, err := c.Reserve(0, 1, 0.5); err != nil {
 		t.Fatalf("reservation after release rejected: %v", err)
 	}
+	if res, rej, rel := c.Counts(); res != 2 || rej != 1 || rel != 1 {
+		t.Fatalf("Counts = %d reserves, %d rejects, %d releases, want 2, 1, 1", res, rej, rel)
+	}
 }
 
 // mustPanic runs f and fails the test unless it panics.

@@ -236,24 +236,31 @@ func detScenarios() []detScenario {
 				}
 				return nil
 			}},
-		{name: "delegated-churn", cfg: func() network.Config {
+		{name: "delegated-churn",
 			// Delegated control plane under a flash crowd with bounded
 			// control queues: local grants, escalations, lease growth and
-			// returns, shedding, and the per-entity session telemetry must
-			// all land identically at any shard count.
-			cfg := detBase()
-			s := ChurnSessions(80 * units.Microsecond)
-			s.Delegation = true
-			s.LocalFrac = 0.5
-			s.CtlService = 300 * units.Nanosecond
-			s.CtlQueueCap = 8
-			s.FlashFactor = 6
-			s.FlashAt = cfg.WarmUp
-			s.FlashLen = cfg.Measure / 4
-			cfg.Sessions = s
-			cfg.ProbeInterval = 100 * units.Microsecond
-			return cfg
-		}},
+			// returns, shedding, the per-entity session telemetry and the
+			// published delegation and admission counters must all land
+			// identically at any shard count.
+			cfg: func() network.Config {
+				cfg := detBase()
+				s := ChurnSessions(80 * units.Microsecond)
+				s.Delegation = true
+				s.LocalFrac = 0.5
+				s.CtlService = 300 * units.Nanosecond
+				s.CtlQueueCap = 8
+				s.FlashFactor = 6
+				s.FlashAt = cfg.WarmUp
+				s.FlashLen = cfg.Measure / 4
+				cfg.Sessions = s
+				cfg.ProbeInterval = 100 * units.Microsecond
+				cfg.Metrics = metrics.NewRegistry()
+				return cfg
+			},
+			check: func(_ *network.Results, fp fingerprint) error {
+				return fp.nonZero("qos_session_local_grants_total", "qos_session_escalated_total",
+					"qos_session_shed_total", "qos_admission_rejects_total")
+			}},
 		{name: "cac-outage", cfg: func() network.Config {
 			// CAC-host outages during delegated churn: one pod's primary
 			// dies (standby promotion, lease reconciliation, retargets) and
@@ -347,45 +354,66 @@ func detScenarios() []detScenario {
 				cfg.ProbeInterval = 100 * units.Microsecond
 				return cfg
 			}},
-		{name: "forge-policed", cfg: func() network.Config {
+		{name: "forge-policed",
 			// Deadline forgery against the policer's rate-envelope test,
-			// with session churn granting policed dynamic flows on top.
-			cfg := detBase()
-			horizon := cfg.WarmUp + cfg.Measure
-			cfg.Faults = ForgePlan(cfg.Topology.Hosts(), horizon/8, horizon, 0.25)
-			cfg.Police = true
-			cfg.Sessions = ChurnSessions(200 * units.Microsecond)
-			return cfg
-		}},
-		{name: "gray-drain", cfg: func() network.Config {
+			// with session churn granting policed dynamic flows on top and
+			// the metrics plane counting the forged demotions.
+			cfg: func() network.Config {
+				cfg := detBase()
+				horizon := cfg.WarmUp + cfg.Measure
+				cfg.Faults = ForgePlan(cfg.Topology.Hosts(), horizon/8, horizon, 0.25)
+				cfg.Police = true
+				cfg.Sessions = ChurnSessions(200 * units.Microsecond)
+				cfg.Metrics = metrics.NewRegistry()
+				return cfg
+			},
+			check: func(_ *network.Results, fp fingerprint) error {
+				return fp.nonZero("qos_police_forged_total")
+			}},
+		{name: "gray-drain",
 			// A slow-drain link under the gray-failure detector: the
 			// detection times, proactive reroutes and session
 			// revalidations all derive from build-time replay and must be
-			// byte-identical at any shard count.
-			cfg := detBase()
-			horizon := cfg.WarmUp + cfg.Measure
-			ids := transitLinkIDs(cfg.Topology)
-			cfg.Faults = GrayPlan(ids, horizon/6, horizon, 0.3)
-			cfg.Gray = &network.GrayConfig{Persistence: horizon / 8}
-			cfg.Sessions = ChurnSessions(200 * units.Microsecond)
-			return cfg
-		}},
-		{name: "chaos-spine-traced", traced: true, cfg: func() network.Config {
+			// byte-identical at any shard count, and so must their
+			// published counters.
+			cfg: func() network.Config {
+				cfg := detBase()
+				horizon := cfg.WarmUp + cfg.Measure
+				ids := transitLinkIDs(cfg.Topology)
+				cfg.Faults = GrayPlan(ids, horizon/6, horizon, 0.3)
+				cfg.Gray = &network.GrayConfig{Persistence: horizon / 8}
+				cfg.Sessions = ChurnSessions(200 * units.Microsecond)
+				cfg.Metrics = metrics.NewRegistry()
+				return cfg
+			},
+			check: func(_ *network.Results, fp fingerprint) error {
+				return fp.nonZero("qos_gray_detected_total", "qos_gray_rerouted_flows_total",
+					"qos_gray_revalidations_total")
+			}},
+		{name: "chaos-spine-traced", traced: true,
 			// Link chaos plus a spine outage under the tracer, with order
-			// tracking, reliability, probes and churn: traced runs must also
-			// agree on every drop inside the dead switch and every repair.
-			cfg := detBase()
-			horizon := cfg.WarmUp + cfg.Measure
-			cfg.TrackOrderErrors = true
-			cfg.Faults = ChaosPlan(cfg.Seed+7, cfg.Topology, horizon)
-			cfg.Faults.Events = append(cfg.Faults.Events,
-				faults.Event{At: horizon / 3, Link: faults.SwitchID(5), Kind: faults.SwitchDown},
-				faults.Event{At: 2 * horizon / 3, Link: faults.SwitchID(5), Kind: faults.SwitchUp})
-			cfg.Reliability = hostif.Reliability{Enabled: true}
-			cfg.ProbeInterval = 200 * units.Microsecond
-			cfg.Sessions = ChurnSessions(150 * units.Microsecond)
-			return cfg
-		}},
+			// tracking, reliability, probes, churn and the metrics plane:
+			// traced runs must also agree on every drop inside the dead
+			// switch and every repair, and the published link-drop,
+			// corruption, switch-drop and order-error counters on them.
+			cfg: func() network.Config {
+				cfg := detBase()
+				horizon := cfg.WarmUp + cfg.Measure
+				cfg.TrackOrderErrors = true
+				cfg.Faults = ChaosPlan(cfg.Seed+7, cfg.Topology, horizon)
+				cfg.Faults.Events = append(cfg.Faults.Events,
+					faults.Event{At: horizon / 3, Link: faults.SwitchID(5), Kind: faults.SwitchDown},
+					faults.Event{At: 2 * horizon / 3, Link: faults.SwitchID(5), Kind: faults.SwitchUp})
+				cfg.Reliability = hostif.Reliability{Enabled: true}
+				cfg.ProbeInterval = 200 * units.Microsecond
+				cfg.Sessions = ChurnSessions(150 * units.Microsecond)
+				cfg.Metrics = metrics.NewRegistry()
+				return cfg
+			},
+			check: func(_ *network.Results, fp fingerprint) error {
+				return fp.nonZero("qos_link_dropped_total", "qos_link_corrupted_total",
+					"qos_switch_dropped_total", "qos_buffer_order_errors_total")
+			}},
 		{name: "soak-epoch", cfg: func() network.Config {
 			// Exactly what the soak harness runs in one epoch — the full
 			// fault mix plus churn — pinned here so the seed printed by a
@@ -421,21 +449,123 @@ func (fp fingerprint) blob() []byte {
 	return buf.Bytes()
 }
 
+// section returns the body of the named section.
+func (fp fingerprint) section(name string) ([]byte, error) {
+	for _, s := range fp.sections {
+		if s.name == name {
+			return s.body, nil
+		}
+	}
+	return nil, fmt.Errorf("no section %s", name)
+}
+
 // renders reports an error naming the first of want missing from the
 // named section.
 func (fp fingerprint) renders(name string, want ...string) error {
-	for _, s := range fp.sections {
-		if s.name != name {
-			continue
+	body, err := fp.section(name)
+	if err != nil {
+		return err
+	}
+	for _, w := range want {
+		if !bytes.Contains(body, []byte(w)) {
+			return fmt.Errorf("section %s does not name %s", name, w)
 		}
-		for _, w := range want {
-			if !bytes.Contains(s.body, []byte(w)) {
-				return fmt.Errorf("section %s does not name %s", name, w)
-			}
-		}
+	}
+	return nil
+}
+
+// nonZero reports an error naming the first of names whose published
+// counter is zero, so a row proves its digest pins counters it exercises.
+// The race build compares no digests and its shortened windows may not
+// reach every counter (delegated-churn sheds nothing there), so it
+// skips the check.
+func (fp fingerprint) nonZero(names ...string) error {
+	if raceEnabled {
 		return nil
 	}
-	return fmt.Errorf("no section %s", name)
+	body, err := fp.section("metrics")
+	if err != nil {
+		return err
+	}
+	got := promCounters(body)
+	for _, name := range names {
+		if got[name] == 0 {
+			return fmt.Errorf("published counter %s is zero", name)
+		}
+	}
+	return nil
+}
+
+// promCounters sums the samples of a Prometheus text render by metric
+// name over their labels.
+func promCounters(render []byte) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, line := range strings.Split(string(render), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ = strings.Cut(name, "{")
+		if v, err := strconv.ParseUint(val, 10, 64); err == nil {
+			out[name] += v
+		}
+	}
+	return out
+}
+
+// countersAgree checks every published counter that counts the same
+// thing as a result field against that field.
+func countersAgree(render []byte, res *network.Results) error {
+	var sess session.Results
+	if res.Sessions != nil {
+		sess = *res.Sessions
+	}
+	var cp session.ControlPlane
+	if res.ControlPlane != nil {
+		cp = *res.ControlPlane
+	}
+	var gray network.GrayReport
+	if res.Gray != nil {
+		gray = *res.Gray
+	}
+	cons := res.Conservation
+	got := promCounters(render)
+	for _, w := range []struct {
+		name string
+		want uint64
+	}{
+		{"qos_switch_xbar_transfers_total", res.XbarTransfers},
+		{"qos_switch_link_sends_total", res.LinkSends},
+		{"qos_buffer_order_errors_total", res.OrderErrors},
+		{"qos_buffer_takeovers_total", res.TakeOvers},
+		{"qos_host_generated_total", cons.Generated},
+		{"qos_host_injected_total", cons.InjectedCopies},
+		{"qos_host_delivered_total", cons.DeliveredUnique},
+		{"qos_link_dropped_total", cons.LostOnLink},
+		{"qos_switch_dropped_total", cons.DroppedInSwitch},
+		{"qos_policy_evictions_total", cons.EvictedAtNIC},
+		{"qos_police_demoted_total", cons.PolicedDemotions},
+		{"qos_link_corrupted_total", res.CorruptedInFlight},
+		{"qos_session_started_total", sess.Started},
+		{"qos_session_granted_total", sess.Granted},
+		{"qos_session_accepted_total", sess.Accepted},
+		{"qos_session_rejected_total", sess.Rejected},
+		{"qos_session_released_total", sess.Released},
+		{"qos_session_revoked_total", sess.Revoked},
+		{"qos_session_local_grants_total", cp.LocalGrants},
+		{"qos_session_escalated_total", cp.Escalated},
+		{"qos_session_shed_total", cp.Shed},
+		{"qos_gray_detected_total", gray.Detections},
+		{"qos_gray_rerouted_flows_total", gray.FlowsRerouted},
+		{"qos_gray_revalidations_total", gray.Revalidations},
+	} {
+		if g, ok := got[w.name]; !ok {
+			return fmt.Errorf("counter %s is not published", w.name)
+		} else if g != w.want {
+			return fmt.Errorf("published %s = %d, but the result field counting the same thing is %d", w.name, g, w.want)
+		}
+	}
+	return nil
 }
 
 // digest records row's event count and the hash of every section in d.
@@ -449,6 +579,8 @@ func (fp fingerprint) digest(row string, d digests) {
 
 // runFingerprint runs cfg at the given shard count (building a fresh
 // tracer when requested) and renders every determinism-guaranteed output.
+// A run with a metrics registry must also publish the same value as each
+// result field that counts the same thing (countersAgree).
 func runFingerprint(t *testing.T, cfg network.Config, shards int, traced bool) (fingerprint, *network.Results) {
 	t.Helper()
 	cfg.Shards = shards
@@ -513,8 +645,12 @@ func runFingerprint(t *testing.T, cfg network.Config, shards int, traced bool) (
 	}
 	if cfg.Metrics != nil {
 		add("metrics", func(buf *bytes.Buffer) error { return cfg.Metrics.WriteDeterministic(buf) })
-		if bytes.Contains(fp.sections[len(fp.sections)-1].body, []byte("qos_engine_events_total")) {
+		body := fp.sections[len(fp.sections)-1].body
+		if bytes.Contains(body, []byte("qos_engine_events_total")) {
 			t.Fatal("PerEngine instrument qos_engine_events_total leaked into the deterministic render")
+		}
+		if err := countersAgree(body, res); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 	}
 	return fp, res
@@ -561,8 +697,9 @@ func detShardCounts() []int {
 // digests, and why not. The race build shortens the windows, and Go fuses
 // x*y+z into one instruction on arm64, ppc64, s390x, riscv64 and loong64
 // (never on amd64), so float results may differ there. On amd64,
-// math.Exp (under math.Pow) picks an FMA kernel when the CPU has one; the
-// committed digests come from such a CPU.
+// math.Exp (under math.Pow) picks an FMA kernel only when the CPU has
+// both AVX and FMA; the committed digests come from such a CPU. Where
+// /proc/cpuinfo cannot be read, the comparison runs.
 func digestsComparable() (bool, string) {
 	if raceEnabled {
 		return false, "the race build shortens the windows"
@@ -570,7 +707,39 @@ func digestsComparable() (bool, string) {
 	if runtime.GOARCH != "amd64" {
 		return false, "digests are recorded on amd64, and " + runtime.GOARCH + " may fuse float multiply-adds"
 	}
+	if runtime.GOOS == "linux" {
+		if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+			if missing := missingFMAFlags(string(info)); len(missing) > 0 {
+				return false, "this CPU lacks " + strings.Join(missing, " and ") +
+					", so math.Exp skips the FMA kernel the digests were recorded with"
+			}
+		}
+	}
 	return true, ""
+}
+
+// missingFMAFlags returns which of the CPU flags math.Exp's FMA kernel
+// needs (avx, fma) the first flags line of a /proc/cpuinfo text lacks.
+// Text without a flags line yields none: the comparison then runs.
+func missingFMAFlags(cpuinfo string) []string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(key) != "flags" {
+			continue
+		}
+		have := map[string]bool{}
+		for _, f := range strings.Fields(val) {
+			have[f] = true
+		}
+		var missing []string
+		for _, f := range []string{"avx", "fma"} {
+			if !have[f] {
+				missing = append(missing, f)
+			}
+		}
+		return missing
+	}
+	return nil
 }
 
 // TestShardDeterminism is the determinism harness: every row without an
@@ -848,6 +1017,31 @@ func TestShardDeterminismDigests(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s: errors %q, want one containing %q", tc.name, errs, tc.want)
+		}
+	}
+}
+
+// TestMissingFMAFlags pins the cpuinfo parsing behind the digest gate on
+// synthetic text: only the exact avx and fma tokens of the flags line
+// count.
+func TestMissingFMAFlags(t *testing.T) {
+	const head = "processor\t: 0\nvendor_id\t: GenuineIntel\n"
+	cases := []struct {
+		name, info string
+		want       string
+	}{
+		{"both", head + "flags\t\t: fpu sse2 avx fma avx2\n", ""},
+		{"no fma", head + "flags\t\t: fpu sse2 avx avx2 fma4\n", "fma"},
+		{"no avx", head + "flags\t\t: fpu sse2 fma avx2 avx512f\n", "avx"},
+		{"neither", head + "flags\t\t: fpu sse2\n", "avx fma"},
+		{"first flags line wins", head + "flags\t\t: avx fma\nflags\t\t: sse2\n", ""},
+		{"vmx flags ignored", head + "vmx flags\t: ept\nflags\t\t: avx\n", "fma"},
+		{"no flags line", head, ""},
+		{"empty", "", ""},
+	}
+	for _, tc := range cases {
+		if got := strings.Join(missingFMAFlags(tc.info), " "); got != tc.want {
+			t.Errorf("%s: missing %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/link"
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/police"
 	"deadlineqos/internal/policy"
@@ -35,19 +34,6 @@ import (
 	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
-
-// Metrics bundles the host-level instruments of the metrics plane. The
-// per-class slack histograms observe each delivery's remaining
-// time-to-deadline (negative = missed), the per-class miss counters count
-// deliveries past deadline. The zero value disables recording; every
-// instrument method is nil-safe.
-type Metrics struct {
-	Generated *metrics.Counter
-	Injected  *metrics.Counter
-	Delivered *metrics.Counter
-	Missed    [packet.NumClasses]*metrics.Counter
-	Slack     [packet.NumClasses]*metrics.Histogram
-}
 
 // DeadlineMode selects how a flow computes packet deadlines (§3.1).
 type DeadlineMode uint8
@@ -176,9 +162,6 @@ type Config struct {
 	// off; every event site guards on the pointer and the packet's
 	// Sampled bit, so the disabled cost is one comparison).
 	Tracer *trace.Tracer
-	// Metrics holds the host's metric instruments; the zero value
-	// disables recording.
-	Metrics Metrics
 	// Policy selects the scheduling policy (injection-queue discipline and
 	// ready-VC selection). Nil means policy.Default, the seed behaviour.
 	Policy policy.Policy
@@ -463,7 +446,6 @@ func (h *Host) emit(f *Flow, chunk units.Size, frameID uint64, parts int, ctl an
 	if verdict != police.Conform && h.cfg.Hooks.Policed != nil {
 		h.cfg.Hooks.Policed(p, now, verdict == police.Forged)
 	}
-	h.cfg.Metrics.Generated.Inc()
 	h.stage(p, now)
 }
 
@@ -563,7 +545,6 @@ func (h *Host) tryInject() {
 		if h.cfg.Hooks.Injected != nil {
 			h.cfg.Hooks.Injected(p, p.InjectedAt)
 		}
-		h.cfg.Metrics.Injected.Inc()
 		if h.rel != nil {
 			h.trackInjected(p)
 		}
@@ -637,14 +618,6 @@ func (h *Host) Receive(p *packet.Packet) {
 		}
 	}
 	h.received++
-	h.cfg.Metrics.Delivered.Inc()
-	// Delivery slack against this host's clock: Deadline was reconstructed
-	// from the TTD header at arrival, so slack == TTD; negative is a miss.
-	slack := p.Deadline - h.cfg.Clock.Now()
-	h.cfg.Metrics.Slack[p.Class].Observe(int64(slack))
-	if slack < 0 {
-		h.cfg.Metrics.Missed[p.Class].Inc()
-	}
 	if h.cfg.Tracer != nil && p.Sampled {
 		// Slack here is the delivery slack: Deadline was reconstructed
 		// against this host's clock at arrival, so Deadline − now == TTD.

@@ -34,22 +34,11 @@ import (
 	"fmt"
 	"math"
 
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/sim"
 	"deadlineqos/internal/units"
 	"deadlineqos/internal/xrand"
 )
-
-// Metrics bundles the link-level instruments of the metrics plane. All
-// fields are optional: the zero value disables everything, and every
-// instrument method is nil-safe, so the recording sites need no guards.
-type Metrics struct {
-	TxPackets *metrics.Counter // packets transmitted
-	TxBytes   *metrics.Counter // bytes transmitted
-	Dropped   *metrics.Counter // packets lost in flight to link-downs
-	Corrupted *metrics.Counter // packets marked by the bit-error process
-}
 
 // Receiver consumes packets at the downstream end of a link.
 type Receiver interface {
@@ -127,8 +116,6 @@ type Link struct {
 	dropped   uint64
 	corrupted uint64
 	busyAccum units.Time // cumulative serialisation time, for utilization probes
-
-	mtr Metrics
 }
 
 // New returns a link into dst with the given bandwidth, propagation delay,
@@ -178,12 +165,9 @@ func (l *Link) Send(p *packet.Packet) {
 	l.sent++
 	l.sentSize += p.Size
 	l.busyAccum += tx
-	l.mtr.TxPackets.Inc()
-	l.mtr.TxBytes.Add(uint64(p.Size))
 	if l.ber > 0 && l.berRng.Float64() < CorruptionProb(l.ber, p.Size) && !p.Corrupted {
 		p.Corrupted = true
 		l.corrupted++
-		l.mtr.Corrupted.Inc()
 		if l.OnCorrupt != nil {
 			l.OnCorrupt(p)
 		}
@@ -263,7 +247,6 @@ func (l *Link) arrive(p *packet.Packet, epoch, flags uint64) {
 	// never sees it, so the credits it held are restored to the sender —
 	// flow control must balance exactly across the flap.
 	l.dropped++
-	l.mtr.Dropped.Inc()
 	l.addCredits(p.VC, p.Size)
 	if l.OnDrop != nil {
 		l.OnDrop(p)
@@ -309,11 +292,6 @@ func (l *Link) SetChannels(pkt, credit uint32) {
 
 // Channels returns the ordering channel pair assigned by SetChannels.
 func (l *Link) Channels() (pkt, credit uint32) { return l.pktCh, l.creditCh }
-
-// SetMetrics installs the link's metric instruments (the zero Metrics
-// disables them). The network layer calls it once after construction,
-// handing every link of a shard handles from that shard's metrics set.
-func (l *Link) SetMetrics(m Metrics) { l.mtr = m }
 
 // Prop returns the link's propagation delay (the parsim lookahead floor).
 func (l *Link) Prop() units.Time { return l.prop }

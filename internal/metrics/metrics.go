@@ -6,11 +6,14 @@
 //
 // Design rules, in the order they were chosen:
 //
-//   - Disabled costs one nil check. Components hold typed instrument
-//     pointers (*Counter, *Gauge, *Histogram) that are nil when metrics
-//     are off; every method is nil-safe, so a disabled site is a single
-//     pointer comparison — the same contract internal/trace established
-//     for its Tracer hooks. No site allocates, ever.
+//   - One counter per fact. Simulator components keep the plain
+//     counters their results are built from and never import this
+//     package; the network layer publishes them, storing each shard's
+//     running totals into its Set (Counter.Store) at every publish. Only
+//     facts no component counts are recorded at event time, through
+//     typed instrument pointers (*Counter, *Gauge, *Histogram) that are
+//     nil when metrics are off; every method is nil-safe, so a disabled
+//     site is a single pointer comparison. No site allocates, ever.
 //   - Recording is shard-local and lock-free. A Registry only defines the
 //     schema (instrument names, help strings, render order); the values
 //     live in per-shard Sets. Each shard's engine goroutine is the only
@@ -292,6 +295,14 @@ func (c *Counter) Inc() {
 func (c *Counter) Add(n uint64) {
 	if c != nil {
 		c.v += n
+	}
+}
+
+// Store sets the count to v, a running total kept elsewhere (the
+// publisher copies a component's own counter instead of bumping a twin).
+func (c *Counter) Store(v uint64) {
+	if c != nil {
+		c.v = v
 	}
 }
 

@@ -61,6 +61,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	c.Inc()
 	c.Add(5)
+	c.Store(9)
 	g.Set(3)
 	g.Add(1)
 	h.Observe(-42)
@@ -79,7 +80,8 @@ func TestGatherMergesSets(t *testing.T) {
 
 	a, b := r.NewSet(), r.NewSet()
 	a.Counter(cid).Add(3)
-	b.Counter(cid).Add(4)
+	b.Counter(cid).Add(1)
+	b.Counter(cid).Store(4) // a published running total replaces the value
 	a.Gauge(gsum).Set(10)
 	b.Gauge(gsum).Set(5)
 	a.Gauge(gmax).Set(100)

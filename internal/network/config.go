@@ -195,12 +195,13 @@ type Config struct {
 	Tracer *trace.Tracer
 
 	// Metrics, when non-nil, turns on the always-on metrics plane (see
-	// internal/metrics): every shard records into its own lock-free
-	// instrument set and publishes an immutable snapshot at each probe
-	// tick for the live scrape server. Instrument values are
-	// deterministic at any shard count (PerEngine instruments excepted).
-	// Nil disables the plane entirely; the fast path then costs one nil
-	// check per site.
+	// internal/metrics): at each probe tick and at the end of the run,
+	// every shard stores its components' running totals into its own
+	// lock-free instrument set and publishes an immutable snapshot for
+	// the live scrape server. Instrument values are deterministic at any
+	// shard count (PerEngine instruments excepted). Nil disables the
+	// plane entirely; the host hooks then pay one nil check for the few
+	// facts recorded at event time.
 	Metrics *metrics.Registry
 
 	// Flight, when non-nil, arms the flight recorder: a fixed-size ring

@@ -237,9 +237,6 @@ func (n *Network) installGray() {
 		swShard := n.shards[n.swShard[e.link.Switch]]
 		swShard.eng.At(e.detectAt, func() {
 			swShard.gray.detected++
-			if det, _, _ := swShard.mtr.grayCounters(); det != nil {
-				det.Inc()
-			}
 		})
 
 		// Proactive reroute: move every static flow crossing the freshly
@@ -259,9 +256,6 @@ func (n *Network) installGray() {
 			sh.eng.At(e.detectAt, func() {
 				n.hosts[rf.host].Flow(rf.id).Route = newRoute
 				sh.gray.rerouted++
-				if _, rer, _ := sh.mtr.grayCounters(); rer != nil {
-					rer.Inc()
-				}
 			})
 		}
 
@@ -274,9 +268,6 @@ func (n *Network) installGray() {
 			sh.eng.At(e.detectAt, func() {
 				cs.cac.OnLinkDerated(link.Switch, link.Port, gcfg.EvacuateScale)
 				sh.gray.revals++
-				if _, _, rev := sh.mtr.grayCounters(); rev != nil {
-					rev.Inc()
-				}
 			})
 		}
 	}

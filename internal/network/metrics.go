@@ -1,29 +1,27 @@
 // The network's metrics-plane wiring (see internal/metrics): one schema
-// registered idempotently on the caller's Registry, one instrument Set
-// per shard, and component bundles handed to links, buffers, switches,
-// hosts, the session counters, and the admission controller at build
-// time. Recording is shard-local and lock-free — the same single-writer
-// discipline as the stats collector — and the hot-path cost with metrics
-// disabled is one nil check per site.
+// registered idempotently on the caller's Registry and one instrument
+// Set per shard. This is the only package that knows the schema. The
+// components keep the plain counters Results is built from, and
+// publishMetrics copies the running totals a shard owns into its Set;
+// a fact is never counted twice. Only the facts no component counts —
+// per-class delivery slack and misses, NIC evictions and policer
+// demotions — are recorded at event time, by the network's own host
+// hooks. Recording is shard-local and lock-free, the same single-writer
+// discipline as the stats collector.
 //
-// Gauges are sampled (and the shard's snapshot published for the scrape
-// server) at every telemetry probe tick and once more when the run
-// stops; counters and histograms are live and merely become visible at
-// each publish. PerEngine instruments (engine events/pending) depend on
-// the shard layout and are excluded from metrics.WriteDeterministic,
-// mirroring the telemetry EngineSamples carve-out.
+// Counters and gauges are stored (and the shard's snapshot published
+// for the scrape server) at every telemetry probe tick and once more
+// when the run stops. PerEngine instruments (engine events/pending)
+// depend on the shard layout and are excluded from
+// metrics.WriteDeterministic, mirroring the telemetry EngineSamples
+// carve-out.
 
 package network
 
 import (
-	"deadlineqos/internal/admission"
 	"deadlineqos/internal/coflow"
-	"deadlineqos/internal/hostif"
-	"deadlineqos/internal/link"
 	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/packet"
-	"deadlineqos/internal/pqueue"
-	"deadlineqos/internal/session"
 	"deadlineqos/internal/switchsim"
 	"deadlineqos/internal/units"
 )
@@ -154,9 +152,7 @@ func registerSchema(reg *metrics.Registry) *metricsSchema {
 	return s
 }
 
-// shardMetrics is one shard's resolved instrument set. All methods are
-// nil-safe: a nil receiver yields zero bundles and nil handles, which is
-// the metrics-disabled path.
+// shardMetrics is one shard's instrument set (nil with metrics off).
 type shardMetrics struct {
 	sch *metricsSchema
 	set *metrics.Set
@@ -169,92 +165,32 @@ func (s *metricsSchema) newShardMetrics(reg *metrics.Registry) *shardMetrics {
 	return &shardMetrics{sch: s, set: reg.NewSet()}
 }
 
-// engineCounter returns the shard's per-engine event counter.
-func (sm *shardMetrics) engineCounter() *metrics.Counter {
-	if sm == nil {
-		return nil
-	}
-	return sm.set.Counter(sm.sch.engEvents)
+// hookMetrics holds the instruments a shard's host hooks record into at
+// event time: the facts no component keeps a counter for. Every handle
+// is nil with metrics off.
+type hookMetrics struct {
+	slack     [packet.NumClasses]*metrics.Histogram
+	missed    [packet.NumClasses]*metrics.Counter
+	evictions [packet.NumClasses]*metrics.Counter
+	evValue   *metrics.Counter
+	demoted   [packet.NumClasses]*metrics.Counter
+	forged    *metrics.Counter
 }
 
-func (sm *shardMetrics) linkBundle() link.Metrics {
+func (sm *shardMetrics) hookMetrics() hookMetrics {
+	var hm hookMetrics
 	if sm == nil {
-		return link.Metrics{}
-	}
-	return link.Metrics{
-		TxPackets: sm.set.Counter(sm.sch.linkTxPkts),
-		TxBytes:   sm.set.Counter(sm.sch.linkTxBytes),
-		Dropped:   sm.set.Counter(sm.sch.linkDropped),
-		Corrupted: sm.set.Counter(sm.sch.linkCorrupted),
-	}
-}
-
-func (sm *shardMetrics) switchBundle() switchsim.Metrics {
-	if sm == nil {
-		return switchsim.Metrics{}
-	}
-	return switchsim.Metrics{
-		Buf: pqueue.Metrics{
-			Enqueued:    sm.set.Counter(sm.sch.bufEnq),
-			Dequeued:    sm.set.Counter(sm.sch.bufDeq),
-			OrderErrors: sm.set.Counter(sm.sch.bufOrderErr),
-			TakeOvers:   sm.set.Counter(sm.sch.bufTakeOvers),
-		},
-		XbarTransfers: sm.set.Counter(sm.sch.swXbar),
-		LinkSends:     sm.set.Counter(sm.sch.swLinkSends),
-		Dropped:       sm.set.Counter(sm.sch.swDropped),
-	}
-}
-
-func (sm *shardMetrics) hostBundle() hostif.Metrics {
-	if sm == nil {
-		return hostif.Metrics{}
-	}
-	m := hostif.Metrics{
-		Generated: sm.set.Counter(sm.sch.hostGen),
-		Injected:  sm.set.Counter(sm.sch.hostInj),
-		Delivered: sm.set.Counter(sm.sch.hostDel),
+		return hm
 	}
 	for c := 0; c < packet.NumClasses; c++ {
-		m.Missed[c] = sm.set.Counter(sm.sch.hostMissed[c])
-		m.Slack[c] = sm.set.Histogram(sm.sch.slack[c])
+		hm.slack[c] = sm.set.Histogram(sm.sch.slack[c])
+		hm.missed[c] = sm.set.Counter(sm.sch.hostMissed[c])
+		hm.evictions[c] = sm.set.Counter(sm.sch.polEvictions[c])
+		hm.demoted[c] = sm.set.Counter(sm.sch.policeDemoted[c])
 	}
-	return m
-}
-
-// evictionCounters resolves the NIC-eviction counters for a shard's
-// Evicted hook (all nil with metrics disabled).
-func (sm *shardMetrics) evictionCounters() (perClass [packet.NumClasses]*metrics.Counter, value *metrics.Counter) {
-	if sm == nil {
-		return perClass, nil
-	}
-	for c := 0; c < packet.NumClasses; c++ {
-		perClass[c] = sm.set.Counter(sm.sch.polEvictions[c])
-	}
-	return perClass, sm.set.Counter(sm.sch.polEvictedValue)
-}
-
-// policeCounters resolves the ingress-policer counters for a shard's
-// Policed hook (all nil with metrics disabled).
-func (sm *shardMetrics) policeCounters() (perClass [packet.NumClasses]*metrics.Counter, forged *metrics.Counter) {
-	if sm == nil {
-		return perClass, nil
-	}
-	for c := 0; c < packet.NumClasses; c++ {
-		perClass[c] = sm.set.Counter(sm.sch.policeDemoted[c])
-	}
-	return perClass, sm.set.Counter(sm.sch.policeForged)
-}
-
-// grayCounters resolves the gray-failure detector's counters for the shard
-// executing a detection event (all nil with metrics disabled).
-func (sm *shardMetrics) grayCounters() (detected, rerouted, revals *metrics.Counter) {
-	if sm == nil {
-		return nil, nil, nil
-	}
-	return sm.set.Counter(sm.sch.grayDetected),
-		sm.set.Counter(sm.sch.grayRerouted),
-		sm.set.Counter(sm.sch.grayRevals)
+	hm.evValue = sm.set.Counter(sm.sch.polEvictedValue)
+	hm.forged = sm.set.Counter(sm.sch.policeForged)
+	return hm
 }
 
 // bumpCoflowMetrics records the coflow workload's final verdicts into
@@ -272,34 +208,6 @@ func (n *Network) bumpCoflowMetrics(res *coflow.Results) {
 	set.Counter(sm.sch.cofMissed).Add(uint64(res.Coflows - res.DeadlineMet))
 }
 
-func (sm *shardMetrics) sessionBundle() session.Metrics {
-	if sm == nil {
-		return session.Metrics{}
-	}
-	return session.Metrics{
-		Started:     sm.set.Counter(sm.sch.sessStarted),
-		Granted:     sm.set.Counter(sm.sch.sessGranted),
-		Accepted:    sm.set.Counter(sm.sch.sessAccepted),
-		Rejected:    sm.set.Counter(sm.sch.sessRejected),
-		Released:    sm.set.Counter(sm.sch.sessReleased),
-		Revoked:     sm.set.Counter(sm.sch.sessRevoked),
-		LocalGrants: sm.set.Counter(sm.sch.sessLocal),
-		Escalated:   sm.set.Counter(sm.sch.sessEscalated),
-		Shed:        sm.set.Counter(sm.sch.sessShed),
-	}
-}
-
-func (sm *shardMetrics) admissionBundle() admission.Metrics {
-	if sm == nil {
-		return admission.Metrics{}
-	}
-	return admission.Metrics{
-		Reserves: sm.set.Counter(sm.sch.admReserves),
-		Rejects:  sm.set.Counter(sm.sch.admRejects),
-		Releases: sm.set.Counter(sm.sch.admReleases),
-	}
-}
-
 // admShard returns the shard whose events own the admission controller
 // (and the session manager) during the run: the manager host's shard when
 // sessions run, shard 0 otherwise (without sessions the controller is
@@ -311,38 +219,97 @@ func (n *Network) admShard() int {
 	return 0
 }
 
-// publishMetrics samples the gauges a shard may legally read (its own
-// engine, its own switches and hosts, plus the CAC state on the owning
-// shard), then publishes the shard's snapshot for the scrape server.
-// Called on the shard's goroutine at probe ticks and on the main
-// goroutine once the engines have stopped.
+// publishMetrics stores the running totals and gauges a shard may
+// legally read into its set — its own engine, the links it sends on, its
+// own switches and hosts, its session and gray-detector counters, plus
+// the CAC state on the owning shard — then publishes the shard's
+// snapshot for the scrape server. Called on the shard's goroutine at
+// probe ticks and on the main goroutine once the engines have stopped.
 func (n *Network) publishMetrics(shard int, t units.Time) {
 	sh := n.shards[shard]
 	sm := sh.mtr
 	if sm == nil {
 		return
 	}
-	set := sm.set
-	set.Gauge(sm.sch.simTime).Set(int64(t))
-	set.Gauge(sm.sch.engPending).Set(int64(sh.eng.Pending()))
-	var queued int64
-	for sw, s := range n.switches {
-		if n.swShard[sw] == shard {
-			queued += int64(s.Queued())
-		}
+	set, sch := sm.set, sm.sch
+	store := func(id metrics.CounterID, v uint64) { set.Counter(id).Store(v) }
+	set.Gauge(sch.simTime).Set(int64(t))
+	set.Gauge(sch.engPending).Set(int64(sh.eng.Pending()))
+	store(sch.engEvents, sh.eng.Fired())
+
+	var txPkts, txBytes, linkDropped, corrupted uint64
+	for _, l := range sh.links {
+		pkts, bytes := l.Sent()
+		txPkts += pkts
+		txBytes += uint64(bytes)
+		linkDropped += l.Dropped()
+		corrupted += l.Corrupted()
 	}
-	set.Gauge(sm.sch.swQueued).Set(queued)
+	store(sch.linkTxPkts, txPkts)
+	store(sch.linkTxBytes, txBytes)
+	store(sch.linkDropped, linkDropped)
+	store(sch.linkCorrupted, corrupted)
+
+	var sw switchsim.Stats
+	var swDropped uint64
+	var queued int64
+	for i, s := range n.switches {
+		if n.swShard[i] != shard {
+			continue
+		}
+		st := s.Stats()
+		sw.XbarTransfers += st.XbarTransfers
+		sw.LinkSends += st.LinkSends
+		sw.OrderErrors += st.OrderErrors
+		sw.TakeOvers += st.TakeOvers
+		sw.Enqueued += st.Enqueued
+		swDropped += s.Dropped()
+		queued += int64(s.Queued())
+	}
+	store(sch.bufEnq, sw.Enqueued)
+	store(sch.bufDeq, sw.Enqueued-uint64(queued))
+	store(sch.bufOrderErr, sw.OrderErrors)
+	store(sch.bufTakeOvers, sw.TakeOvers)
+	store(sch.swXbar, sw.XbarTransfers)
+	store(sch.swLinkSends, sw.LinkSends)
+	store(sch.swDropped, swDropped)
+	set.Gauge(sch.swQueued).Set(queued)
+
+	store(sch.hostGen, sh.cons.Generated)
+	store(sch.hostInj, sh.cons.InjectedCopies)
+	store(sch.hostDel, sh.cons.DeliveredUnique)
 	var pending int64
 	for h, host := range n.hosts {
 		if n.hostShard[h] == shard {
 			pending += int64(host.Pending())
 		}
 	}
-	set.Gauge(sm.sch.hostPending).Set(pending)
+	set.Gauge(sch.hostPending).Set(pending)
+
+	if c := sh.sess; c != nil {
+		store(sch.sessStarted, c.Started)
+		store(sch.sessGranted, c.Granted)
+		store(sch.sessAccepted, c.Accepted)
+		store(sch.sessRejected, c.Rejected)
+		store(sch.sessReleased, c.Released)
+		store(sch.sessRevoked, c.Revoked)
+		store(sch.sessLocal, c.LocalGrants)
+		store(sch.sessEscalated, c.Escalated)
+		store(sch.sessShed, c.Shed)
+	}
+	if g := sh.gray; g != nil {
+		store(sch.grayDetected, g.detected)
+		store(sch.grayRerouted, g.rerouted)
+		store(sch.grayRevals, g.revals)
+	}
 	if shard == n.admShard() {
-		set.Gauge(sm.sch.admActive).Set(int64(n.adm.ActiveFlows()))
+		reserves, rejects, releases := n.adm.Counts()
+		store(sch.admReserves, reserves-n.admBuilt[0])
+		store(sch.admRejects, rejects-n.admBuilt[1])
+		store(sch.admReleases, releases-n.admBuilt[2])
+		set.Gauge(sch.admActive).Set(int64(n.adm.ActiveFlows()))
 		if n.sessMgr != nil {
-			set.Gauge(sm.sch.sessActive).Set(int64(n.sessMgr.ActiveSessions()))
+			set.Gauge(sch.sessActive).Set(int64(n.sessMgr.ActiveSessions()))
 		}
 	}
 	set.Publish()

@@ -2,14 +2,10 @@ package network
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
-	"deadlineqos/internal/coflow"
-	"deadlineqos/internal/faults"
 	"deadlineqos/internal/metrics"
-	"deadlineqos/internal/policy"
 	"deadlineqos/internal/session"
 	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
@@ -29,150 +25,6 @@ func metricsConfig(shards int) Config {
 		HoldMean:     1500 * units.Microsecond,
 	}
 	return cfg
-}
-
-// resultFingerprint condenses a run into the deterministic outputs the
-// metrics plane must not perturb (engine event counts are excluded: the
-// sharded runtime adds synchronisation events of its own).
-func resultFingerprint(t *testing.T, res *Results) string {
-	t.Helper()
-	b, err := json.Marshal(struct {
-		Cons faults.Conservation
-		Sess *session.Results
-	}{res.Conservation, res.Sessions})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// TestMetricsShardDeterminism pins the deterministic metrics render (and
-// the simulation results) byte-identical at 1, 2 and 4 shards with the
-// metrics plane enabled.
-func TestMetricsShardDeterminism(t *testing.T) {
-	var baseMetrics, baseResults string
-	for _, shards := range []int{1, 2, 4} {
-		cfg := metricsConfig(shards)
-		reg := metrics.NewRegistry()
-		cfg.Metrics = reg
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		var buf bytes.Buffer
-		if err := reg.WriteDeterministic(&buf); err != nil {
-			t.Fatalf("shards=%d: WriteDeterministic: %v", shards, err)
-		}
-		m, r := buf.String(), resultFingerprint(t, res)
-		if baseMetrics == "" {
-			baseMetrics, baseResults = m, r
-			// Sanity: the plane actually recorded traffic.
-			for _, want := range []string{
-				"qos_host_delivered_total", "qos_link_tx_packets_total",
-				"qos_buffer_enqueued_total", "qos_session_accepted_total",
-				"qos_delivery_slack_ns", "qos_admission_reserves_total",
-			} {
-				if !strings.Contains(m, want) {
-					t.Fatalf("deterministic render missing %s:\n%s", want, m)
-				}
-			}
-			if strings.Contains(m, "qos_engine_events_total") {
-				t.Fatalf("PerEngine instrument leaked into deterministic render:\n%s", m)
-			}
-			continue
-		}
-		if m != baseMetrics {
-			t.Fatalf("shards=%d metrics diverge:\n%s\nvs sequential:\n%s", shards, m, baseMetrics)
-		}
-		if r != baseResults {
-			t.Fatalf("shards=%d results diverge:\n%s\nvs sequential:\n%s", shards, r, baseResults)
-		}
-	}
-}
-
-// TestPolicyMetricsShardDeterminism pins the scheduling-policy plane in
-// the frozen schema: a value-drop run with a coflow workload must render
-// the qos_policy_* counters, with non-zero evictions and coflow verdicts,
-// byte-identically at 1, 2 and 4 shards.
-func TestPolicyMetricsShardDeterminism(t *testing.T) {
-	var base string
-	for _, shards := range []int{1, 2, 4} {
-		cfg := SmallConfig()
-		cfg.WarmUp = units.Millisecond
-		cfg.Measure = 8 * units.Millisecond
-		cfg.Load = 1.0
-		cfg.ClassShare = [4]float64{0.1, 0.1, 0.6, 0.2}
-		cfg.HotspotFraction = 0.7
-		cfg.HotspotHost = 0
-		cfg.Policy = policy.ValueDrop(32*units.Kilobyte, false)
-		cfg.Coflows = &coflow.Config{StartAt: cfg.WarmUp, Rounds: 4, Chunk: 4 * units.Kilobyte}
-		cfg.Shards = shards
-		reg := metrics.NewRegistry()
-		cfg.Metrics = reg
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		var buf bytes.Buffer
-		if err := reg.WriteDeterministic(&buf); err != nil {
-			t.Fatalf("shards=%d: WriteDeterministic: %v", shards, err)
-		}
-		m := buf.String()
-		if base == "" {
-			base = m
-			for _, want := range []string{
-				"qos_policy_evictions_total", "qos_policy_evicted_value_total",
-				"qos_policy_coflow_admitted_total", "qos_policy_coflow_rejected_total",
-				"qos_policy_coflow_completed_total", "qos_policy_coflow_missed_total",
-			} {
-				if !strings.Contains(m, want) {
-					t.Fatalf("deterministic render missing %s:\n%s", want, m)
-				}
-			}
-			if sum := res.Conservation.EvictedAtNIC; sum == 0 {
-				t.Fatal("scenario produced no evictions; the counters are untested")
-			}
-			if res.Coflows == nil || res.Coflows.Admitted+res.Coflows.Rejected == 0 {
-				t.Fatal("scenario produced no coflow verdicts")
-			}
-			continue
-		}
-		if m != base {
-			t.Fatalf("shards=%d policy metrics diverge:\n%s\nvs sequential:\n%s", shards, m, base)
-		}
-	}
-}
-
-// TestMetricsDoNotPerturb runs the same scenario bare, with the metrics
-// plane, and with the flight recorder + miss-burst SLO armed: all three
-// must produce identical simulation results.
-func TestMetricsDoNotPerturb(t *testing.T) {
-	bare, err := Run(metricsConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resultFingerprint(t, bare)
-
-	withMetrics := metricsConfig(2)
-	withMetrics.Metrics = metrics.NewRegistry()
-	res, err := Run(withMetrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resultFingerprint(t, res); got != want {
-		t.Fatalf("metrics plane perturbed the run:\n%s\nvs\n%s", got, want)
-	}
-
-	withFlight := metricsConfig(2)
-	withFlight.Flight = trace.NewFlightRecorder(0)
-	withFlight.MissBurstCount = 1
-	res, err = Run(withFlight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resultFingerprint(t, res); got != want {
-		t.Fatalf("flight recorder perturbed the run:\n%s\nvs\n%s", got, want)
-	}
 }
 
 // TestMissBurstTripsFlightRecorder arms the tightest possible SLO (one

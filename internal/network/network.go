@@ -129,6 +129,7 @@ type netShard struct {
 	avail         *availShard       // nil unless the fault plan is topological
 	gray          *grayShard        // nil unless Config.Gray is armed
 	mtr           *shardMetrics     // nil unless Config.Metrics is set
+	links         []*link.Link      // the links this shard sends on
 }
 
 // Network is a fully wired simulation. Build one with New, then call Run,
@@ -186,6 +187,10 @@ type Network struct {
 	grayOn      bool
 	repairFlows []regFlow
 	avail       *Availability
+
+	// admBuilt is adm's Counts after provisioning: the metrics plane
+	// publishes run-time admission decisions only.
+	admBuilt [3]uint64
 }
 
 // deliveryKey identifies a unique packet end-to-end for the delivery
@@ -275,10 +280,7 @@ func New(cfg Config) (*Network, error) {
 		} else {
 			sh.tracer = rootTracer.Clone()
 		}
-		if sch != nil {
-			sh.mtr = sch.newShardMetrics(cfg.Metrics)
-			sh.eng.SetEventCounter(sh.mtr.engineCounter())
-		}
+		sh.mtr = sch.newShardMetrics(cfg.Metrics)
 		if cfg.CheckInvariants {
 			sh.deliveredOnce = make(map[deliveryKey]struct{})
 		}
@@ -340,7 +342,6 @@ func New(cfg Config) (*Network, error) {
 			GuardInputs:      guardIn(sw),
 			Tracer:           sh.tracer,
 			OnPktDrop:        n.onSwitchDropFor(sh),
-			Metrics:          sh.mtr.switchBundle(),
 		}))
 	}
 
@@ -391,7 +392,6 @@ func New(cfg Config) (*Network, error) {
 			Reliability: cfg.Reliability,
 			SendAck:     sendAck,
 			Tracer:      sh.tracer,
-			Metrics:     sh.mtr.hostBundle(),
 			Police:      cfg.Police,
 			PoliceBurst: cfg.PoliceBurst,
 		}))
@@ -418,10 +418,9 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	// The admission controller mutates (and is read) only on its owning
-	// shard during the run, so its bundle lives in that shard's set. The
-	// bundle counts run-time decisions only: pre-run provisioning above
-	// happened before it was installed.
-	n.adm.SetMetrics(n.shards[n.admShard()].mtr.admissionBundle())
+	// shard during the run, so that shard publishes its counts, less the
+	// pre-run provisioning above.
+	n.admBuilt[0], n.admBuilt[1], n.admBuilt[2] = n.adm.Counts()
 	n.installRepair()
 	n.installGray()
 	return n, nil
@@ -441,6 +440,7 @@ func (n *Network) hooksFor(sh *netShard) hostif.Hooks {
 	if burstN > 0 {
 		missT = make([]units.Time, burstN)
 	}
+	hm := sh.mtr.hookMetrics()
 	hooks := hostif.Hooks{
 		Generated: func(p *packet.Packet) {
 			sh.cons.Generated++
@@ -461,6 +461,14 @@ func (n *Network) hooksFor(sh *netShard) hostif.Hooks {
 				sh.deliveredOnce[key] = struct{}{}
 			}
 			sh.collect.PacketDelivered(p, now)
+			// Delivery slack against the destination's clock: Deadline was
+			// reconstructed from the TTD header on arrival, so it is TTD.
+			if h := hm.slack[p.Class]; h != nil {
+				h.Observe(int64(p.TTD))
+				if p.TTD < 0 {
+					hm.missed[p.Class].Inc()
+				}
+			}
 			if burstN > 0 && now > p.Deadline {
 				missT[int(nMiss)%burstN] = now
 				nMiss++
@@ -508,28 +516,26 @@ func (n *Network) hooksFor(sh *netShard) hostif.Hooks {
 	// Ingress-policer demotions: conservation (informational term),
 	// per-class statistics, and the qos_police_* counters.
 	if n.cfg.Police {
-		polCnt, polForged := sh.mtr.policeCounters()
 		hooks.Policed = func(p *packet.Packet, now units.Time, forged bool) {
 			sh.cons.PolicedDemotions++
 			sh.collect.PacketPoliced(p, now, forged)
-			if c := polCnt[p.Class]; c != nil {
+			if c := hm.demoted[p.Class]; c != nil {
 				c.Inc()
 				if forged {
-					polForged.Inc()
+					hm.forged.Inc()
 				}
 			}
 		}
 	}
 	// NIC evictions by bounded (value-aware) host queues: conservation,
 	// per-class statistics, and the policy-plane counters.
-	evCnt, evVal := sh.mtr.evictionCounters()
 	hooks.Evicted = func(p *packet.Packet, now units.Time) {
 		sh.cons.EvictedAtNIC++
 		sh.collect.PacketEvicted(p, now)
-		if c := evCnt[p.Class]; c != nil {
+		if c := hm.evictions[p.Class]; c != nil {
 			c.Inc()
 			if p.Value > 0 {
-				evVal.Add(uint64(p.Value))
+				hm.evValue.Add(uint64(p.Value))
 			}
 		}
 	}
@@ -732,9 +738,13 @@ func (n *Network) wire() {
 	}
 	timeline := downTimeline(n.topo, cfg.Faults)
 	nextCh := uint32(1)
-	channels := func(l *link.Link) {
+	newLink := func(sh *netShard, bw units.Bandwidth, dst link.Receiver) *link.Link {
+		l := link.New(sh.eng, bw, cfg.PropDelay, cfg.BufPerVC, dst)
 		l.SetChannels(nextCh, nextCh+1)
 		nextCh += 2
+		l.OnDrop = n.onDropFor(sh)
+		sh.links = append(sh.links, l)
+		return l
 	}
 	for sw := 0; sw < n.topo.Switches(); sw++ {
 		s := n.switches[sw]
@@ -750,18 +760,12 @@ func (n *Network) wire() {
 				// leaf switch's shard by construction.
 				h := n.hosts[peer.ID]
 				// Switch -> host (ejection).
-				down := link.New(sh.eng, outBW(sw, p), cfg.PropDelay, cfg.BufPerVC, h)
-				channels(down)
-				down.SetMetrics(sh.mtr.linkBundle())
-				down.OnDrop = n.onDropFor(sh)
+				down := newLink(sh, outBW(sw, p), h)
 				s.ConnectDownstream(p, down)
 				h.SetUpstream(down)
 				n.retainLink(faults.LinkID{Switch: sw, Port: p}, down)
 				// Host -> switch (injection).
-				up := link.New(sh.eng, cfg.LinkBW, cfg.PropDelay, cfg.BufPerVC, s.InputReceiver(p))
-				channels(up)
-				up.SetMetrics(sh.mtr.linkBundle())
-				up.OnDrop = n.onDropFor(sh)
+				up := newLink(sh, cfg.LinkBW, s.InputReceiver(p))
 				h.ConnectOut(up)
 				s.ConnectUpstream(p, up)
 				n.links = append(n.links, up)
@@ -773,10 +777,7 @@ func (n *Network) wire() {
 			// peer. Each direction is thus created exactly once.
 			other := n.switches[peer.ID]
 			otherShard := n.swShard[peer.ID]
-			l := link.New(sh.eng, outBW(sw, p), cfg.PropDelay, cfg.BufPerVC, other.InputReceiver(peer.Port))
-			channels(l)
-			l.SetMetrics(sh.mtr.linkBundle())
-			l.OnDrop = n.onDropFor(sh)
+			l := newLink(sh, outBW(sw, p), other.InputReceiver(peer.Port))
 			s.ConnectDownstream(p, l)
 			if shard == otherShard {
 				other.ConnectUpstream(peer.Port, l)

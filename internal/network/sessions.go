@@ -50,7 +50,6 @@ func (n *Network) provisionSessions(rng *xrand.Rand) error {
 
 	for _, sh := range n.shards {
 		sh.sess = session.NewCounters()
-		sh.sess.Mtr = sh.mtr.sessionBundle()
 	}
 
 	// Signalling flows, one per direction per client host: Control class

@@ -29,20 +29,9 @@ package pqueue
 import (
 	"fmt"
 
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
 )
-
-// Metrics bundles the buffer-level instruments of the metrics plane.
-// Instrument methods are nil-safe, so the zero value disables recording
-// at the cost of one nil check inside each call.
-type Metrics struct {
-	Enqueued    *metrics.Counter // packets pushed
-	Dequeued    *metrics.Counter // packets popped
-	OrderErrors *metrics.Counter // dequeues that violated deadline order
-	TakeOvers   *metrics.Counter // pushes diverted to the take-over queue
-}
 
 // Buffer is a per-VC packet buffer of a switch or host port. Push never
 // fails: the credit-based flow control upstream guarantees space, and a
@@ -66,6 +55,10 @@ type Buffer interface {
 	Capacity() units.Size
 	// Free returns the remaining byte space.
 	Free() units.Size
+	// Pushes returns how many packets were ever stored. Every stored
+	// packet leaves through Pop (or, in a DropQueue, an eviction), so a
+	// flow-controlled buffer has popped Pushes() − Len() packets.
+	Pushes() uint64
 	// OrderErrors returns how many dequeues emitted a packet whose
 	// deadline exceeded the buffer's true minimum at that moment.
 	// Always zero when the buffer was built without tracking.
@@ -76,9 +69,6 @@ type Buffer interface {
 	// SetObserver installs a per-packet event observer (nil to remove).
 	// Observers are measurement-only and never influence the discipline.
 	SetObserver(Observer)
-	// SetMetrics installs the buffer's metric instruments (the zero
-	// Metrics removes them). Measurement-only, like observers.
-	SetMetrics(Metrics)
 }
 
 // Observer receives per-packet buffer events. The tracing layer installs
@@ -234,19 +224,19 @@ func (t *minTracker) min() units.Time {
 type base struct {
 	capacity    units.Size
 	bytes       units.Size
+	pushes      uint64
 	orderErrors uint64
 	tracker     *minTracker
 	arrivalSeq  uint64
 	obs         Observer
-	mtr         Metrics
 }
 
 func (b *base) Bytes() units.Size      { return b.bytes }
 func (b *base) Capacity() units.Size   { return b.capacity }
 func (b *base) Free() units.Size       { return b.capacity - b.bytes }
+func (b *base) Pushes() uint64         { return b.pushes }
 func (b *base) OrderErrors() uint64    { return b.orderErrors }
 func (b *base) SetObserver(o Observer) { b.obs = o }
-func (b *base) SetMetrics(m Metrics)   { b.mtr = m }
 
 func (b *base) pushAccounting(p *packet.Packet, kind string) {
 	if b.bytes+p.Size > b.capacity {
@@ -254,7 +244,7 @@ func (b *base) pushAccounting(p *packet.Packet, kind string) {
 			kind, b.bytes, p.Size, b.capacity))
 	}
 	b.bytes += p.Size
-	b.mtr.Enqueued.Inc()
+	b.pushes++
 	if b.tracker != nil {
 		b.tracker.add(p)
 	}
@@ -262,11 +252,9 @@ func (b *base) pushAccounting(p *packet.Packet, kind string) {
 
 func (b *base) popAccounting(p *packet.Packet) {
 	b.bytes -= p.Size
-	b.mtr.Dequeued.Inc()
 	if b.tracker != nil {
 		if p.Deadline > b.tracker.min() {
 			b.orderErrors++
-			b.mtr.OrderErrors.Inc()
 			if b.obs != nil {
 				b.obs.OrderError(p)
 			}
@@ -538,7 +526,6 @@ func (t *TakeOverQueue) Push(p *packet.Packet) {
 	}
 	t.u.push(e)
 	t.takeOver++
-	t.mtr.TakeOvers.Inc()
 	if t.obs != nil {
 		t.obs.TakeOverEnqueued(p)
 	}

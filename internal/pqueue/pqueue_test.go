@@ -143,6 +143,9 @@ func TestByteAccounting(t *testing.T) {
 		if b.Bytes() != 50 || b.Free() != 50 {
 			t.Errorf("%v after pop: Bytes=%v, want 50", d, b.Bytes())
 		}
+		if b.Pushes() != 2 || b.Pushes()-uint64(b.Len()) != 1 {
+			t.Errorf("%v: Pushes=%d with Len=%d, want 2 pushes and 1 pop", d, b.Pushes(), b.Len())
+		}
 	}
 }
 

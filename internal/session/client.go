@@ -208,7 +208,6 @@ func (c *Client) arrive() {
 	}
 	c.sessions[s.id] = s
 	c.c.Cnt.Started++
-	c.c.Cnt.Mtr.Started.Inc()
 	c.sendSetup(s)
 }
 
@@ -312,7 +311,6 @@ func (c *Client) handleMsg(m *Msg) {
 		}
 		c.cancelTimer(s)
 		c.c.Cnt.Granted++
-		c.c.Cnt.Mtr.Granted.Inc()
 		lat := c.c.Eng.Now() - s.firstSetup
 		c.c.Cnt.SetupLatency.Add(lat)
 		c.c.Cnt.SetupLatHist.Add(lat)

@@ -1,28 +1,9 @@
 package session
 
 import (
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/stats"
 	"deadlineqos/internal/units"
 )
-
-// Metrics mirrors the headline session counters into the live metrics
-// plane. The network installs one bundle per shard's Counters instance;
-// all instrument methods are nil-safe, so the zero value disables
-// mirroring and each bump site costs one nil check. The authoritative
-// values remain the Counters fields — the mirror exists so a live scrape
-// sees control-plane activity without waiting for the run to finish.
-type Metrics struct {
-	Started     *metrics.Counter
-	Granted     *metrics.Counter
-	Accepted    *metrics.Counter
-	Rejected    *metrics.Counter
-	Released    *metrics.Counter
-	Revoked     *metrics.Counter
-	LocalGrants *metrics.Counter
-	Escalated   *metrics.Counter
-	Shed        *metrics.Counter
-}
 
 // Counters accumulates session-subsystem events. Every simulation shard
 // owns one instance (clients and the manager add to the instance of the
@@ -30,11 +11,6 @@ type Metrics struct {
 // so folding per-shard counters together is order-independent and a
 // sharded run reports bit-identical values to a sequential one.
 type Counters struct {
-	// Mtr, when installed, mirrors the headline fields below into the
-	// metrics plane as they are bumped. It is per-shard install state,
-	// not an aggregate: Merge ignores it.
-	Mtr Metrics
-
 	// Client side.
 	Started       uint64 // sessions generated
 	SetupsSent    uint64 // Setup messages emitted (including retries)

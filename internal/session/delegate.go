@@ -281,7 +281,6 @@ func (d *Delegate) HandleMsg(m *Msg) {
 		if d.queue != nil {
 			if hint, ok := d.queue.enqueue(func() { d.serveSetup(m) }); !ok {
 				d.c.Cnt.Shed++
-				d.c.Cnt.Mtr.Shed.Inc()
 				d.shed++
 				d.reply(m.Src, &Msg{Op: OpReject, Session: m.Session, Attempt: m.Attempt, RetryAfter: hint})
 			}
@@ -361,9 +360,7 @@ func (d *Delegate) serveSetup(m *Msg) {
 // record to the standby.
 func (d *Delegate) grantLocal(m *Msg) {
 	d.c.Cnt.Accepted++
-	d.c.Cnt.Mtr.Accepted.Inc()
 	d.c.Cnt.LocalGrants++
-	d.c.Cnt.Mtr.LocalGrants.Inc()
 	d.localGrants++
 	d.sync(m.Session)
 	d.reply(m.Src, &Msg{Op: OpGrant, Session: m.Session, Route: d.sessions[m.Session].route, Local: true})
@@ -382,7 +379,6 @@ func (d *Delegate) escalate(m *Msg) {
 		return
 	}
 	d.c.Cnt.Escalated++
-	d.c.Cnt.Mtr.Escalated.Inc()
 	d.toRoot(m)
 }
 
@@ -508,7 +504,6 @@ func (d *Delegate) handleTeardown(m *Msg) {
 	}
 	delete(d.sessions, m.Session)
 	d.c.Cnt.Released++
-	d.c.Cnt.Mtr.Released.Inc()
 	d.syncRelease(m.Session)
 	if d.active && !d.rootDark && d.adm.ActiveFlows() == 0 && d.frac > d.c.Cfg.LeaseFrac+1e-9 {
 		// The pod drained: return the grown share to the root.
@@ -572,7 +567,6 @@ func (d *Delegate) revoke(id uint64) {
 	delete(d.byHandle, s.handle)
 	d.addReserved(-s.bw)
 	d.c.Cnt.Revoked++
-	d.c.Cnt.Mtr.Revoked.Inc()
 	d.revoked++
 	route, h, err := d.adm.Reserve(s.src, s.dst, s.bw)
 	if err != nil {
@@ -631,7 +625,6 @@ func (d *Delegate) revokeFault(id uint64, downAt units.Time) {
 	delete(d.byHandle, s.handle)
 	d.addReserved(-s.bw)
 	d.c.Cnt.Revoked++
-	d.c.Cnt.Mtr.Revoked.Inc()
 	d.revoked++
 	route, h, err := d.adm.Reserve(s.src, s.dst, s.bw)
 	if err == nil {

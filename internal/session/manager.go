@@ -171,7 +171,6 @@ func (m *Manager) HandleCtl(p *packet.Packet) {
 			// drain-time hint the client folds into its backoff.
 			if hint, ok := m.queue.enqueue(func() { m.handleSetup(msg) }); !ok {
 				m.c.Cnt.Shed++
-				m.c.Cnt.Mtr.Shed.Inc()
 				m.shedN++
 				m.reply(msg.Src, &Msg{Op: OpReject, Session: msg.Session, Attempt: msg.Attempt, RetryAfter: hint})
 			}
@@ -247,7 +246,6 @@ func (m *Manager) handleSetup(msg *Msg) {
 		route, h, err := m.c.Adm.Reserve(msg.Src, msg.Dst, msg.BW)
 		if err != nil {
 			m.c.Cnt.Rejected++
-			m.c.Cnt.Mtr.Rejected.Inc()
 			m.rejN++
 			m.reply(msg.Src, &Msg{Op: OpReject, Session: msg.Session, Attempt: msg.Attempt})
 			return
@@ -259,7 +257,6 @@ func (m *Manager) handleSetup(msg *Msg) {
 		m.byHandle[h] = msg.Session
 		m.addReserved(msg.BW)
 		m.c.Cnt.Accepted++
-		m.c.Cnt.Mtr.Accepted.Inc()
 		m.accN++
 		m.reply(msg.Src, &Msg{Op: OpGrant, Session: msg.Session, Route: route})
 		return
@@ -270,7 +267,6 @@ func (m *Manager) handleSetup(msg *Msg) {
 		src: msg.Src, dst: msg.Dst, bw: msg.BW, class: msg.Class, route: route,
 	}
 	m.c.Cnt.Accepted++
-	m.c.Cnt.Mtr.Accepted.Inc()
 	m.accN++
 	m.reply(msg.Src, &Msg{Op: OpGrant, Session: msg.Session, Route: route})
 }
@@ -291,7 +287,6 @@ func (m *Manager) handleTeardown(msg *Msg) {
 	}
 	delete(m.sessions, msg.Session)
 	m.c.Cnt.Released++
-	m.c.Cnt.Mtr.Released.Inc()
 }
 
 // OnLinkDerated applies a fault-plan capacity change to the admission
@@ -331,7 +326,6 @@ func (m *Manager) revoke(id uint64) {
 	delete(m.byHandle, s.handle)
 	m.addReserved(-s.bw)
 	m.c.Cnt.Revoked++
-	m.c.Cnt.Mtr.Revoked.Inc()
 	m.revN++
 	route, h, err := m.c.Adm.Reserve(s.src, s.dst, s.bw)
 	if err != nil {
@@ -462,7 +456,6 @@ func (m *Manager) revokeFault(id uint64, downAt units.Time) {
 	delete(m.byHandle, s.handle)
 	m.addReserved(-s.bw)
 	m.c.Cnt.Revoked++
-	m.c.Cnt.Mtr.Revoked.Inc()
 	m.revN++
 	route, h, err := m.c.Adm.Reserve(s.src, s.dst, s.bw)
 	if err == nil {

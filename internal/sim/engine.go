@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
 )
@@ -147,11 +146,6 @@ type Engine struct {
 	stopped    bool
 	fired      uint64
 	maxPending int
-	// evCnt, when set, counts every executed event into the metrics
-	// plane. Nil (the default) costs one pointer check per event in the
-	// Run/Drain loops — the same disabled-observer contract the trace
-	// hooks follow.
-	evCnt *metrics.Counter
 }
 
 // New returns an Engine with the clock at zero.
@@ -172,12 +166,6 @@ func (e *Engine) Pending() int { return e.wheelLen + len(e.far) }
 // MaxPending returns the high-water mark of the pending event set over the
 // engine's lifetime — the profiling proxy for scheduler memory pressure.
 func (e *Engine) MaxPending() int { return e.maxPending }
-
-// SetEventCounter installs (or, with nil, removes) a metrics counter
-// bumped once per executed event. The engine is the simulator's hottest
-// loop; the counter is a plain shard-local increment and the disabled
-// path is a single nil check.
-func (e *Engine) SetEventCounter(c *metrics.Counter) { e.evCnt = c }
 
 // less orders events by (time, channel, seq). The channel component exists
 // for the parallel engine (internal/parsim): events that may cross a shard
@@ -369,9 +357,6 @@ func (e *Engine) fire(ev *Event) {
 		e.base = ev.at
 	}
 	e.fired++
-	if e.evCnt != nil {
-		e.evCnt.Inc()
-	}
 	pl := ev.pl
 	e.recycle(ev)
 	pl.H.Fire(pl.Kind, pl.Pkt, pl.A, pl.B)

@@ -36,7 +36,6 @@ import (
 	"deadlineqos/internal/arbiter"
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/link"
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/policy"
 	"deadlineqos/internal/pqueue"
@@ -44,17 +43,6 @@ import (
 	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
-
-// Metrics bundles the switch-level instruments of the metrics plane. Buf
-// is installed on every VOQ and output buffer of the switch; the rest are
-// bumped at the switch's own counter sites. The zero value disables
-// everything (instrument methods are nil-safe).
-type Metrics struct {
-	Buf           pqueue.Metrics
-	XbarTransfers *metrics.Counter // crossbar transfers started
-	LinkSends     *metrics.Counter // packets put on downstream links
-	Dropped       *metrics.Counter // packets discarded by SwitchDown faults
-}
 
 // Config parameterises one switch.
 type Config struct {
@@ -86,9 +74,6 @@ type Config struct {
 	// conservation accounting; nil means drops are silently lost, so any
 	// run with switch faults must set it.
 	OnPktDrop func(p *packet.Packet)
-	// Metrics holds the switch's metric instruments; the zero value
-	// disables recording.
-	Metrics Metrics
 	// Policy selects the scheduling policy whose Arbiter makes this
 	// switch's crossbar and link grant decisions. Nil means
 	// policy.Default, the seed behaviour.
@@ -115,6 +100,7 @@ type Stats struct {
 	LinkSends     uint64
 	OrderErrors   uint64 // dequeues that violated global deadline order
 	TakeOvers     uint64 // packets diverted to take-over queues
+	Enqueued      uint64 // packets pushed into any buffer; all but Queued were popped
 }
 
 // Switch is one simulated switch.
@@ -222,7 +208,6 @@ func New(cfg Config) *Switch {
 				// Each VOQ may transiently hold up to the whole pool;
 				// the pool accounting below enforces the shared limit.
 				ip.voq[vc][o] = pqueue.New(cfg.Arch.Discipline(packet.VC(vc)), cfg.BufPerVC, cfg.TrackOrderErrors)
-				ip.voq[vc][o].SetMetrics(cfg.Metrics.Buf)
 				if cfg.Tracer != nil {
 					ip.voq[vc][o].SetObserver(&bufObserver{sw: s, port: i, out: o})
 				}
@@ -235,7 +220,6 @@ func New(cfg Config) *Switch {
 			op.cands[vc] = make([]arbiter.Candidate, 0, cfg.Radix)
 			op.backlog[vc] = newBitset(cfg.Radix)
 			op.buf[vc] = pqueue.New(cfg.Arch.Discipline(packet.VC(vc)), cfg.BufPerVC, cfg.TrackOrderErrors)
-			op.buf[vc].SetMetrics(cfg.Metrics.Buf)
 			if cfg.Tracer != nil {
 				op.buf[vc].SetObserver(&bufObserver{sw: s, port: i, out: -1})
 			}
@@ -443,7 +427,6 @@ func (s *Switch) startTransfer(ip *inputPort, op *outputPort, vc packet.VC) {
 		op.served[vc][ip.idx] += p.Size
 	}
 	s.xbarTransfers++
-	s.cfg.Metrics.XbarTransfers.Inc()
 	s.inXbar++
 	tx := s.cfg.XbarBW.TxTime(p.Size)
 	s.cfg.Eng.Post(s.cfg.Eng.Now()+tx, 0, sim.Payload{H: s, Kind: sim.KindXbarFinish, Pkt: p, A: uint64(ip.idx), B: uint64(op.idx)})
@@ -488,7 +471,6 @@ func (s *Switch) finishTransfer(ip *inputPort, op *outputPort, p *packet.Packet)
 // conservation accounting and the lifecycle trace.
 func (s *Switch) drop(p *packet.Packet, port, out int) {
 	s.dropped++
-	s.cfg.Metrics.Dropped.Inc()
 	if s.cfg.Tracer != nil && p.Sampled {
 		s.traceEvt(trace.KindSwitchDrop, p, port, out)
 	}
@@ -626,7 +608,6 @@ func (s *Switch) tryLinkTx(o int) {
 	// inflation (see link.TxTime).
 	p.PackTTD(s.cfg.Clock.Now() + l.TxTime(p))
 	s.linkSends++
-	s.cfg.Metrics.LinkSends.Inc()
 	l.Send(p)
 	// Output buffer space freed: the crossbar may now have room.
 	s.tryXbar(o)
@@ -637,6 +618,7 @@ func (s *Switch) tryLinkTx(o int) {
 func (s *Switch) Stats() Stats {
 	st := Stats{XbarTransfers: s.xbarTransfers, LinkSends: s.linkSends}
 	count := func(b pqueue.Buffer) {
+		st.Enqueued += b.Pushes()
 		st.OrderErrors += b.OrderErrors()
 		if tq, ok := b.(*pqueue.TakeOverQueue); ok {
 			st.TakeOvers += tq.TakeOvers()

@@ -318,6 +318,10 @@ func TestStatsCounters(t *testing.T) {
 	if st.XbarTransfers != 10 || st.LinkSends != 10 {
 		t.Fatalf("stats = %+v, want 10 transfers and sends", st)
 	}
+	// Each packet was pushed into a VOQ and then an output buffer.
+	if st.Enqueued != 20 || r.sw.Queued() != 0 {
+		t.Fatalf("stats = %+v with %d queued, want 20 pushes and none queued", st, r.sw.Queued())
+	}
 }
 
 func TestSwitchPreservesFlowOrderUnderAdvanced(t *testing.T) {
