@@ -131,19 +131,39 @@ func detScenarios() []detScenario {
 			cfg.VCArbitrationTable = []packet.VC{packet.VCRegulated, packet.VCBestEffort}
 			return cfg
 		}},
-		{name: "ideal-skew", cfg: func() network.Config {
-			cfg := detBase()
-			cfg.Arch = arch.Ideal
-			cfg.ClockSkewMax = 5 * units.Microsecond
-			return cfg
-		}},
-		{name: "simple-hotspot", cfg: func() network.Config {
-			cfg := detBase()
-			cfg.Arch = arch.Simple2VC
-			cfg.HotspotFraction = 0.5
-			cfg.HotspotHost = 0
-			return cfg
-		}},
+		{name: "ideal-skew",
+			// The heap oracle: a heap buffer always emits its minimum, so
+			// tracking must count no order error.
+			cfg: func() network.Config {
+				cfg := detBase()
+				cfg.Arch = arch.Ideal
+				cfg.ClockSkewMax = 5 * units.Microsecond
+				cfg.TrackOrderErrors = true
+				return cfg
+			},
+			check: func(res *network.Results, _ fingerprint) error {
+				if res.OrderErrors != 0 {
+					return fmt.Errorf("heap buffers counted %d order errors", res.OrderErrors)
+				}
+				return nil
+			}},
+		{name: "simple-hotspot",
+			// The FIFO oracle behind S1's Simple row: FIFO heads emit
+			// packets the buffer holds a smaller deadline for.
+			cfg: func() network.Config {
+				cfg := detBase()
+				cfg.Arch = arch.Simple2VC
+				cfg.HotspotFraction = 0.5
+				cfg.HotspotHost = 0
+				cfg.TrackOrderErrors = true
+				return cfg
+			},
+			check: func(res *network.Results, _ fingerprint) error {
+				if res.OrderErrors == 0 {
+					return errors.New("no order errors; the FIFO oracle is untested")
+				}
+				return nil
+			}},
 		{name: "order-errors-unshaped", cfg: func() network.Config {
 			cfg := detBase()
 			cfg.TrackOrderErrors = true

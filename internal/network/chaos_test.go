@@ -1,13 +1,11 @@
 package network
 
 import (
-	"fmt"
 	"testing"
 
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/faults"
 	"deadlineqos/internal/hostif"
-	"deadlineqos/internal/packet"
 	"deadlineqos/internal/topology"
 	"deadlineqos/internal/units"
 )
@@ -89,39 +87,6 @@ func TestChaosConservation(t *testing.T) {
 	injected := float64(c.Generated - c.StagedAtStop)
 	if frac := float64(c.DeliveredUnique) / injected; frac < 0.97 {
 		t.Fatalf("only %.1f%% of injected unique packets delivered: %v", 100*frac, c)
-	}
-}
-
-// TestChaosDeterminism replays the identical (seed, plan) run and demands
-// byte-identical fault traces and identical counters.
-func TestChaosDeterminism(t *testing.T) {
-	run := func() *Results {
-		cfg := chaosBase()
-		cfg.Faults = chaosPlan(&cfg)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
-	}
-	a, b := run(), run()
-
-	if fmt.Sprint(a.FaultTrace) != fmt.Sprint(b.FaultTrace) {
-		t.Fatalf("fault traces differ:\n%v\n%v", a.FaultTrace, b.FaultTrace)
-	}
-	if a.Conservation != b.Conservation {
-		t.Fatalf("conservation differs:\n%v\n%v", a.Conservation, b.Conservation)
-	}
-	if a.Reliability != b.Reliability {
-		t.Fatalf("reliability counters differ:\n%+v\n%+v", a.Reliability, b.Reliability)
-	}
-	if a.SimEvents != b.SimEvents {
-		t.Fatalf("event counts differ: %d vs %d", a.SimEvents, b.SimEvents)
-	}
-	for cl := packet.Class(0); cl < packet.NumClasses; cl++ {
-		if av, bv := a.PerClass[cl].DeliveredPackets, b.PerClass[cl].DeliveredPackets; av != bv {
-			t.Fatalf("%v deliveries differ: %d vs %d", cl, av, bv)
-		}
 	}
 }
 

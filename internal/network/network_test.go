@@ -72,30 +72,6 @@ func TestPacketConservation(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	cfg := quickCfg(arch.Advanced2VC, 0.6)
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SimEvents != b.SimEvents {
-		t.Fatalf("event counts differ: %d vs %d", a.SimEvents, b.SimEvents)
-	}
-	for cl := packet.Class(0); cl < packet.NumClasses; cl++ {
-		x, y := &a.PerClass[cl], &b.PerClass[cl]
-		if x.DeliveredPackets != y.DeliveredPackets {
-			t.Fatalf("%v: deliveries differ: %d vs %d", cl, x.DeliveredPackets, y.DeliveredPackets)
-		}
-		if x.PacketLatency.Mean() != y.PacketLatency.Mean() {
-			t.Fatalf("%v: latencies differ", cl)
-		}
-	}
-}
-
 func TestSeedsChangeOutcome(t *testing.T) {
 	cfg := quickCfg(arch.Advanced2VC, 0.6)
 	a, _ := Run(cfg)

@@ -116,9 +116,6 @@ func (d *DropQueue) removeAt(i int, evict bool) *packet.Packet {
 	d.entries = d.entries[:len(d.entries)-1]
 	if evict {
 		d.bytes -= p.Size
-		if d.tracker != nil {
-			d.tracker.remove(p)
-		}
 		d.evicted++
 		d.evBytes += p.Size
 		if d.onEvict != nil {
@@ -162,7 +159,7 @@ func (d *DropQueue) Pop() *packet.Packet {
 		return nil
 	}
 	p := d.removeAt(i, false)
-	d.popAccounting(p)
+	d.popAccounting(p, units.Infinity)
 	return p
 }
 

@@ -21,9 +21,11 @@
 // Order-error accounting: a dequeue commits an order error when the packet
 // it emits does not have the minimum deadline currently stored in the buffer
 // (§3.4 calls these "order errors", distinct from out-of-order delivery).
-// Buffers optionally carry an oracle min-tracker that detects this; it
-// exists only for measurement and is not consulted by any scheduling
-// decision.
+// A buffer built with tracking detects this exactly, at amortised O(1)
+// per push and pop: a FIFO keeps a min-queue beside its ring, a take-over
+// buffer one beside U (L is sorted), and a heap always emits its minimum.
+// The oracle exists only for measurement and is not consulted by any
+// scheduling decision.
 package pqueue
 
 import (
@@ -109,8 +111,8 @@ func (d Discipline) String() string {
 }
 
 // New builds a buffer of the given discipline with the given byte capacity.
-// If trackOrderErrors is true the buffer carries the measurement oracle
-// (slightly slower Push/Pop).
+// If trackOrderErrors is true the buffer counts order errors with the
+// oracle the package comment describes.
 func New(d Discipline, capacity units.Size, trackOrderErrors bool) Buffer {
 	switch d {
 	case FIFO:
@@ -124,99 +126,56 @@ func New(d Discipline, capacity units.Size, trackOrderErrors bool) Buffer {
 	}
 }
 
-// --- oracle min-tracker ------------------------------------------------
+// --- order-error oracle ---------------------------------------------------
 
-// minTracker maintains the true minimum deadline of a packet multiset using
-// a lazy-deletion heap. It is measurement-only.
-//
-// The binary heap is sifted by hand rather than through container/heap,
-// which would box an entry into an any on every push and pop; up and down
-// repeat container/heap's compare and swap sequence exactly, so the heap
-// holds the layout container/heap would build.
-type minTracker struct {
-	entries []minEntry
-	dead    map[uint64]int // packet id -> pending deletions
+// minQueue is the order-error oracle of one FIFO ring: a monotonic deque
+// of (deadline, arrival seq) whose front holds the smallest deadline the
+// ring stores. A push first drops every back entry with a larger
+// deadline, which cannot be the minimum again while the newcomer is
+// stored; the front leaves with the ring entry that carries its seq.
+// Every entry enters and leaves once, so both are amortised O(1), and
+// the deadlines are the ones the packets were pushed with.
+type minQueue struct {
+	q ring[minEntry]
 }
 
 type minEntry struct {
 	deadline units.Time
-	id       uint64
+	seq      uint64
 }
 
-func newMinTracker() *minTracker {
-	return &minTracker{dead: make(map[uint64]int)}
-}
-
-// up is container/heap's up.
-func (t *minTracker) up(j int) {
-	h := t.entries
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || h[j].deadline >= h[i].deadline {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+// newMinQueue returns the oracle of a tracked buffer, and nil for an
+// untracked one, which so stays as small and as fast as without it.
+func newMinQueue(track bool) *minQueue {
+	if !track {
+		return nil
 	}
+	return new(minQueue)
 }
 
-// down is container/heap's down over the first n entries.
-func (t *minTracker) down(i, n int) {
-	h := t.entries
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].deadline < h[j1].deadline {
-			j = j2 // right child
-		}
-		if h[j].deadline >= h[i].deadline {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+// push records the ring entry with arrival seq seq and deadline d.
+func (m *minQueue) push(d units.Time, seq uint64) {
+	for m.q.len() > 0 && m.q.back().deadline > d {
+		m.q.popBack()
 	}
+	m.q.push(minEntry{d, seq})
 }
 
-func (t *minTracker) add(p *packet.Packet) {
-	t.entries = append(t.entries, minEntry{p.Deadline, p.ID})
-	t.up(len(t.entries) - 1)
-}
-
-func (t *minTracker) remove(p *packet.Packet) {
-	t.dead[p.ID]++
-	t.compact()
-}
-
-// compact pops dead entries off the top of the heap.
-func (t *minTracker) compact() {
-	for len(t.entries) > 0 {
-		top := t.entries[0]
-		n, stale := t.dead[top.id]
-		if !stale {
-			return
-		}
-		if n == 1 {
-			delete(t.dead, top.id)
-		} else {
-			t.dead[top.id] = n - 1
-		}
-		last := len(t.entries) - 1
-		t.entries[0], t.entries[last] = t.entries[last], t.entries[0]
-		t.down(0, last)
-		t.entries = t.entries[:last]
+// leave records that the ring's front, with arrival seq seq, left. The
+// ring's newest entry is always in the deque, so a non-empty ring keeps
+// a non-empty deque.
+func (m *minQueue) leave(seq uint64) {
+	if m.q.front().seq == seq {
+		m.q.pop()
 	}
 }
 
 // min returns the smallest stored deadline, or Infinity when empty.
-func (t *minTracker) min() units.Time {
-	t.compact()
-	if len(t.entries) == 0 {
+func (m *minQueue) min() units.Time {
+	if m.q.len() == 0 {
 		return units.Infinity
 	}
-	return t.entries[0].deadline
+	return m.q.front().deadline
 }
 
 // --- common bookkeeping -------------------------------------------------
@@ -226,7 +185,6 @@ type base struct {
 	bytes       units.Size
 	pushes      uint64
 	orderErrors uint64
-	tracker     *minTracker
 	arrivalSeq  uint64
 	obs         Observer
 }
@@ -245,21 +203,18 @@ func (b *base) pushAccounting(p *packet.Packet, kind string) {
 	}
 	b.bytes += p.Size
 	b.pushes++
-	if b.tracker != nil {
-		b.tracker.add(p)
-	}
 }
 
-func (b *base) popAccounting(p *packet.Packet) {
+// popAccounting books p's departure. least is the smallest deadline the
+// buffer held just before the pop; a buffer without the oracle passes
+// Infinity.
+func (b *base) popAccounting(p *packet.Packet, least units.Time) {
 	b.bytes -= p.Size
-	if b.tracker != nil {
-		if p.Deadline > b.tracker.min() {
-			b.orderErrors++
-			if b.obs != nil {
-				b.obs.OrderError(p)
-			}
+	if p.Deadline > least {
+		b.orderErrors++
+		if b.obs != nil {
+			b.obs.OrderError(p)
 		}
-		b.tracker.remove(p)
 	}
 }
 
@@ -318,6 +273,13 @@ func (q *ring[T]) pop() T {
 	return x
 }
 
+// popBack removes the newest entry of a non-empty ring.
+func (q *ring[T]) popBack() {
+	var zero T
+	q.size--
+	q.buf[(q.head+q.size)%len(q.buf)] = zero
+}
+
 func (q *ring[T]) scan(fn func(T)) {
 	for i := 0; i < q.size; i++ {
 		fn(q.buf[(q.head+i)%len(q.buf)])
@@ -327,22 +289,23 @@ func (q *ring[T]) scan(fn func(T)) {
 // Fifo is a first-in first-out packet buffer.
 type Fifo struct {
 	base
-	q ring[*packet.Packet]
+	q    ring[*packet.Packet]
+	mins *minQueue // the order-error oracle; nil when untracked
 }
 
 // NewFIFO returns an empty FIFO buffer of the given byte capacity.
 func NewFIFO(capacity units.Size, track bool) *Fifo {
-	f := &Fifo{base: base{capacity: capacity}}
-	if track {
-		f.tracker = newMinTracker()
-	}
-	return f
+	return &Fifo{base: base{capacity: capacity}, mins: newMinQueue(track)}
 }
 
 // Push appends p.
 func (f *Fifo) Push(p *packet.Packet) {
 	f.pushAccounting(p, "fifo")
 	f.q.push(p)
+	if f.mins != nil {
+		f.mins.push(p.Deadline, f.arrivalSeq)
+		f.arrivalSeq++
+	}
 }
 
 // Head returns the oldest stored packet.
@@ -350,10 +313,17 @@ func (f *Fifo) Head() *packet.Packet { return f.q.front() }
 
 // Pop removes and returns the oldest stored packet.
 func (f *Fifo) Pop() *packet.Packet {
-	p := f.q.pop()
-	if p != nil {
-		f.popAccounting(p)
+	if f.q.len() == 0 {
+		return nil
 	}
+	least := units.Infinity
+	if f.mins != nil {
+		// The front is the oldest of the Len() packets stored.
+		least = f.mins.min()
+		f.mins.leave(f.arrivalSeq - uint64(f.q.len()))
+	}
+	p := f.q.pop()
+	f.popAccounting(p, least)
 	return p
 }
 
@@ -387,13 +357,11 @@ type DeadlineHeap struct {
 	h []heapEntry
 }
 
-// NewHeap returns an empty ordered buffer of the given byte capacity.
-func NewHeap(capacity units.Size, track bool) *DeadlineHeap {
-	d := &DeadlineHeap{base: base{capacity: capacity}}
-	if track {
-		d.tracker = newMinTracker()
-	}
-	return d
+// NewHeap returns an empty ordered buffer of the given byte capacity. It
+// needs no order-error oracle, tracked or not: every pop emits the stored
+// minimum, so the heap never commits an order error.
+func NewHeap(capacity units.Size, _ bool) *DeadlineHeap {
+	return &DeadlineHeap{base: base{capacity: capacity}}
 }
 
 func (d *DeadlineHeap) less(i, j int) bool {
@@ -466,7 +434,7 @@ func (d *DeadlineHeap) Pop() *packet.Packet {
 		panic(fmt.Sprintf("pqueue: packet %d deadline changed from %v to %v while in a heap buffer",
 			e.p.ID, e.deadline, e.p.Deadline))
 	}
-	d.popAccounting(e.p)
+	d.popAccounting(e.p, e.deadline)
 	return e.p
 }
 
@@ -491,7 +459,8 @@ func (d *DeadlineHeap) Scan(fn func(*packet.Packet)) {
 type TakeOverQueue struct {
 	base
 	l, u     ring[seqEntry]
-	takeOver uint64 // packets diverted to U, a direct order-pressure measure
+	umin     *minQueue // the order-error oracle over U; nil when untracked
+	takeOver uint64    // packets diverted to U, a direct order-pressure measure
 }
 
 // seqEntry is a stored packet with its arrival order, the tie-break
@@ -505,11 +474,7 @@ type seqEntry struct {
 // L and U share the capacity dynamically, as in the paper ("the two queues
 // can dynamically take all the memory allowed for the VC").
 func NewTakeOver(capacity units.Size, track bool) *TakeOverQueue {
-	t := &TakeOverQueue{base: base{capacity: capacity}}
-	if track {
-		t.tracker = newMinTracker()
-	}
-	return t
+	return &TakeOverQueue{base: base{capacity: capacity}, umin: newMinQueue(track)}
 }
 
 // Push enqueues p per the paper's Definition 1: into L when both queues are
@@ -525,6 +490,9 @@ func (t *TakeOverQueue) Push(p *packet.Packet) {
 		return
 	}
 	t.u.push(e)
+	if t.umin != nil {
+		t.umin.push(p.Deadline, e.seq)
+	}
 	t.takeOver++
 	if t.obs != nil {
 		t.obs.TakeOverEnqueued(p)
@@ -571,8 +539,18 @@ func (t *TakeOverQueue) Pop() *packet.Packet {
 	if q == nil {
 		return nil
 	}
+	least := units.Infinity
+	if t.umin != nil {
+		// L takes only deadlines ≥ its tail and pops only at its head, so
+		// its head is its minimum, and the emitted head never exceeds L's:
+		// the pop is an order error exactly when it exceeds U's minimum.
+		least = t.umin.min()
+		if q == &t.u {
+			t.umin.leave(q.front().seq)
+		}
+	}
 	p := q.pop().p
-	t.popAccounting(p)
+	t.popAccounting(p, least)
 	return p
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
@@ -209,14 +208,15 @@ func (s *TimeSeries) Merge(other *TimeSeries) {
 // indistinguishable from an empty histogram by Quantile alone; check
 // Count to tell them apart.
 type Histogram struct {
-	counts map[int]uint64
+	counts []uint64 // counts[i] holds bucket lo+i
+	lo     int
 	total  uint64
 }
 
 const bucketsPerOctave = 8
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{counts: make(map[int]uint64)} }
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // subCycleBucket holds every observation in (-1, 1).
 const subCycleBucket = -1
@@ -251,9 +251,39 @@ func bucketUpper(b int) units.Time {
 	}
 }
 
+// cover widens counts to hold buckets lo through hi.
+func (h *Histogram) cover(lo, hi int) {
+	n := len(h.counts)
+	if n == 0 {
+		h.counts, h.lo = make([]uint64, hi-lo+1), lo
+		return
+	}
+	top := h.lo + n - 1
+	if lo >= h.lo && hi <= top {
+		return
+	}
+	// Grow each side that needs room by at least the current span, so a
+	// range that creeps outward one bucket at a time reallocates only
+	// logarithmically often.
+	if lo < h.lo {
+		lo = min(lo, h.lo-n)
+	}
+	if hi > top {
+		hi = max(hi, top+n)
+	}
+	lo, hi = min(lo, h.lo), max(hi, top)
+	grown := make([]uint64, hi-lo+1)
+	copy(grown[h.lo-lo:], h.counts)
+	h.counts, h.lo = grown, lo
+}
+
 // Add records one observation.
 func (h *Histogram) Add(v units.Time) {
-	h.counts[bucketOf(v)]++
+	b := bucketOf(v)
+	if b < h.lo || b >= h.lo+len(h.counts) {
+		h.cover(b, b)
+	}
+	h.counts[b-h.lo]++
 	h.total++
 }
 
@@ -270,15 +300,19 @@ func (h *Histogram) Quantile(q float64) units.Time {
 	if target < 1 {
 		target = 1
 	}
-	keys := h.sortedBuckets()
 	var cum uint64
-	for _, b := range keys {
-		cum += h.counts[b]
+	last := 0
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		last = h.lo + i
 		if cum >= target {
-			return bucketUpper(b)
+			break
 		}
 	}
-	return bucketUpper(keys[len(keys)-1])
+	return bucketUpper(last)
 }
 
 // FractionBelow returns the fraction of observations <= v.
@@ -288,10 +322,11 @@ func (h *Histogram) FractionBelow(v units.Time) float64 {
 	}
 	vb := bucketOf(v)
 	var cum uint64
-	for b, c := range h.counts {
-		if b <= vb {
-			cum += c
+	for i, c := range h.counts {
+		if h.lo+i > vb {
+			break
 		}
+		cum += c
 	}
 	return float64(cum) / float64(h.total)
 }
@@ -303,33 +338,29 @@ type CDFPoint struct {
 }
 
 // CDF returns the cumulative distribution as bucket upper-bound points in
-// increasing latency order.
+// increasing latency order, one per non-empty bucket.
 func (h *Histogram) CDF() []CDFPoint {
-	keys := h.sortedBuckets()
-	pts := make([]CDFPoint, 0, len(keys))
+	pts := make([]CDFPoint, 0, len(h.counts))
 	var cum uint64
-	for _, b := range keys {
-		cum += h.counts[b]
-		pts = append(pts, CDFPoint{bucketUpper(b), float64(cum) / float64(h.total)})
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		pts = append(pts, CDFPoint{bucketUpper(h.lo + i), float64(cum) / float64(h.total)})
 	}
 	return pts
 }
 
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	for b, c := range other.counts {
-		h.counts[b] += c
+	if len(other.counts) > 0 {
+		h.cover(other.lo, other.lo+len(other.counts)-1)
+		for i, c := range other.counts {
+			h.counts[other.lo-h.lo+i] += c
+		}
 	}
 	h.total += other.total
-}
-
-func (h *Histogram) sortedBuckets() []int {
-	keys := make([]int, 0, len(h.counts))
-	for b := range h.counts {
-		keys = append(keys, b)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // ClassStats aggregates all indices for one traffic class.
@@ -461,10 +492,6 @@ type Collector struct {
 	lastLat map[packet.FlowID]units.Time
 	hosts   int
 	linkBW  units.Bandwidth
-	// Switch-level order-error totals, filled in by the network at teardown.
-	OrderErrors     uint64
-	TakeOverPackets uint64
-	Dequeues        uint64
 }
 
 // NewCollector returns a collector for a run over hosts endpoints with the
@@ -700,9 +727,6 @@ func (c *Collector) Merge(other *Collector) {
 	for fl, lat := range other.lastLat {
 		c.lastLat[fl] = lat
 	}
-	c.OrderErrors += other.OrderErrors
-	c.TakeOverPackets += other.TakeOverPackets
-	c.Dequeues += other.Dequeues
 	c.InnocentDelivered += other.InnocentDelivered
 	c.InnocentMissed += other.InnocentMissed
 	c.RogueDelivered += other.RogueDelivered

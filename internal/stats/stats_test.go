@@ -8,6 +8,7 @@ import (
 
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
+	"deadlineqos/internal/xrand"
 )
 
 func TestSeriesBasics(t *testing.T) {
@@ -432,6 +433,153 @@ func TestHistogramMergeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mapHistogram is the map-bucketed Histogram the dense bucket slice
+// replaced, kept as the reference it must reproduce.
+type mapHistogram struct {
+	counts map[int]uint64
+	total  uint64
+}
+
+func (h *mapHistogram) Add(v units.Time) {
+	h.counts[bucketOf(v)]++
+	h.total++
+}
+
+func (h *mapHistogram) Quantile(q float64) units.Time {
+	if h.total == 0 {
+		return 0
+	}
+	target := uint64(math.Ceil(q * float64(h.total)))
+	if target < 1 {
+		target = 1
+	}
+	keys := h.sortedBuckets()
+	var cum uint64
+	for _, b := range keys {
+		cum += h.counts[b]
+		if cum >= target {
+			return bucketUpper(b)
+		}
+	}
+	return bucketUpper(keys[len(keys)-1])
+}
+
+func (h *mapHistogram) FractionBelow(v units.Time) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	vb := bucketOf(v)
+	var cum uint64
+	for b, c := range h.counts {
+		if b <= vb {
+			cum += c
+		}
+	}
+	return float64(cum) / float64(h.total)
+}
+
+func (h *mapHistogram) CDF() []CDFPoint {
+	keys := h.sortedBuckets()
+	pts := make([]CDFPoint, 0, len(keys))
+	var cum uint64
+	for _, b := range keys {
+		cum += h.counts[b]
+		pts = append(pts, CDFPoint{bucketUpper(b), float64(cum) / float64(h.total)})
+	}
+	return pts
+}
+
+func (h *mapHistogram) Merge(other *mapHistogram) {
+	for b, c := range other.counts {
+		h.counts[b] += c
+	}
+	h.total += other.total
+}
+
+func (h *mapHistogram) sortedBuckets() []int {
+	keys := make([]int, 0, len(h.counts))
+	for b := range h.counts {
+		keys = append(keys, b)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// randomTimes draws n values from one random decade of magnitudes up to
+// 1e13, all negative, all positive or of both signs, with one in ten
+// exactly 0. Two draws usually cover disjoint bucket ranges.
+func randomTimes(r *xrand.Rand, n int) []units.Time {
+	decade, sign := r.Uniform(0, 12), r.Intn(3)-1
+	out := make([]units.Time, n)
+	for i := range out {
+		if r.Intn(10) == 0 {
+			continue
+		}
+		v := units.Time(math.Pow(10, decade+r.Float64()))
+		if sign < 0 || sign == 0 && r.Intn(2) == 0 {
+			v = -v
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// TestHistogramMatchesMapReference drives the dense histogram and the
+// map reference with the same random signed values, then merges
+// histograms of (usually) disjoint ranges, including into and from an
+// empty one. Count, CDF, Quantile and FractionBelow must agree exactly.
+func TestHistogramMatchesMapReference(t *testing.T) {
+	same := func(trial int, what string, h *Histogram, ref *mapHistogram, probes []units.Time) {
+		t.Helper()
+		if h.Count() != ref.total {
+			t.Fatalf("trial %d %s: Count %d, reference %d", trial, what, h.Count(), ref.total)
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got, want := h.Quantile(q), ref.Quantile(q); got != want {
+				t.Fatalf("trial %d %s: Quantile(%v) %v, reference %v", trial, what, q, got, want)
+			}
+		}
+		got, want := h.CDF(), ref.CDF()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d %s: %d CDF points, reference %d", trial, what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d %s: CDF point %d %+v, reference %+v", trial, what, i, got[i], want[i])
+			}
+			probes = append(probes, got[i].Latency, got[i].Latency+1)
+		}
+		for _, v := range append(probes, 0, -1, 1, -1e15, 1e15) {
+			if got, want := h.FractionBelow(v), ref.FractionBelow(v); got != want {
+				t.Fatalf("trial %d %s: FractionBelow(%v) %v, reference %v", trial, what, v, got, want)
+			}
+		}
+	}
+	r := xrand.New(1)
+	for trial := 0; trial < 300; trial++ {
+		var hs [2]*Histogram
+		var refs [2]*mapHistogram
+		var all []units.Time
+		for k := range hs {
+			hs[k], refs[k] = NewHistogram(), &mapHistogram{counts: map[int]uint64{}}
+			vals := randomTimes(r, r.Intn(40))
+			for _, v := range vals {
+				hs[k].Add(v)
+				refs[k].Add(v)
+			}
+			same(trial, "single", hs[k], refs[k], vals)
+			all = append(all, vals...)
+		}
+		empty, emptyRef := NewHistogram(), &mapHistogram{counts: map[int]uint64{}}
+		empty.Merge(hs[1])
+		emptyRef.Merge(refs[1])
+		same(trial, "merged into empty", empty, emptyRef, all)
+		hs[0].Merge(hs[1])
+		refs[0].Merge(refs[1])
+		same(trial, "merged", hs[0], refs[0], all)
 	}
 }
 
