@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -183,7 +184,10 @@ func detScenarios() []detScenario {
 			cfg.Faults = ChaosPlan(cfg.Seed+7, cfg.Topology, cfg.WarmUp+cfg.Measure)
 			cfg.Reliability = hostif.Reliability{Enabled: true}
 			return cfg
-		}},
+		},
+			check: func(res *network.Results, _ fingerprint) error {
+				return relNonZero(res, "Demoted")
+			}},
 		{name: "telemetry-probes", twin: "baseline-advanced", cfg: func() network.Config {
 			cfg := detBase()
 			cfg.ProbeInterval = 100 * units.Microsecond
@@ -442,8 +446,30 @@ func detScenarios() []detScenario {
 			return soak.EpochConfig(soak.Options{
 				Seed: 5, WarmUp: base.WarmUp, Measure: base.Measure,
 			}, 0)
-		}},
+		},
+			// Timeouts, NAKs, corrupted and duplicate copies all occur
+			// here: the digest covers every recovery-tracker path.
+			check: func(res *network.Results, _ fingerprint) error {
+				return relNonZero(res, "Timeouts", "Naks", "RxCorrupt", "RxDup", "Retransmitted")
+			}},
 	}
+}
+
+// relNonZero reports an error naming the first of the named
+// hostif.RelCounters fields that is zero in res, so a row proves its
+// digest covers those recovery paths. Like nonZero it skips the race
+// build's shortened windows.
+func relNonZero(res *network.Results, names ...string) error {
+	if raceEnabled {
+		return nil
+	}
+	c := reflect.ValueOf(res.Reliability)
+	for _, name := range names {
+		if c.FieldByName(name).Uint() == 0 {
+			return fmt.Errorf("reliability counter %s is zero", name)
+		}
+	}
+	return nil
 }
 
 // section is one labelled part of a fingerprint.

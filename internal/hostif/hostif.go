@@ -87,6 +87,10 @@ type Flow struct {
 	lastDeadline units.Time
 	seq          uint64
 	pol          *police.Policer
+	// rel holds the flow's tracked packets (nil unless the reliability
+	// layer runs). A pointer keeps Flow in its 128-byte size class: a
+	// 128-host fabric registers tens of thousands of flows.
+	rel *relWindow
 }
 
 // IDSource hands out simulation-unique packet and frame identifiers. The
@@ -197,8 +201,9 @@ type Host struct {
 
 	received uint64
 
-	// Reliability layer (nil when disabled): sender-side retransmission
-	// tracker, receive-side sequence trackers, and counters.
+	// Reliability layer (nil when disabled): sender-side entry pool and
+	// count (the entries live in each Flow's window), receive-side
+	// sequence trackers, and counters.
 	rel    *relState
 	rx     map[packet.FlowID]*rxFlow
 	relCnt RelCounters
@@ -231,7 +236,7 @@ func New(cfg Config) *Host {
 		}
 	}
 	if cfg.Reliability.Enabled {
-		h.rel = &relState{entries: make(map[relKey]*relEntry)}
+		h.rel = &relState{}
 		h.rx = make(map[packet.FlowID]*rxFlow)
 	}
 	return h
@@ -255,6 +260,9 @@ func (h *Host) AddFlow(f *Flow) {
 	}
 	if _, dup := h.flows[f.ID]; dup {
 		panic(fmt.Sprintf("hostif: duplicate flow id %d", f.ID))
+	}
+	if h.rel != nil {
+		f.rel = new(relWindow)
 	}
 	h.flows[f.ID] = f
 }
@@ -495,7 +503,7 @@ func (h *Host) Fire(kind sim.Kind, _ *packet.Packet, a, b uint64) {
 	case sim.KindWake:
 		h.tryInject()
 	case sim.KindRetx:
-		h.onRetxTimeout(relKey{packet.FlowID(a), b})
+		h.onRetxTimeout(packet.FlowID(a), b)
 	case sim.KindAck:
 		h.handleAck(packet.FlowID(a), b, a>>32 != 0)
 	default:
@@ -592,7 +600,7 @@ func (h *Host) Receive(p *packet.Packet) {
 		}
 		if h.rel != nil {
 			h.sendReport(p, p.Seq, false)
-			h.rxFlowOf(p.Flow).naked[p.Seq] = struct{}{}
+			h.rxFlowOf(p.Flow).naked(p.Seq)
 		}
 		return
 	}

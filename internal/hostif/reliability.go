@@ -31,8 +31,10 @@ package hostif
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"deadlineqos/internal/packet"
+	"deadlineqos/internal/seqset"
 	"deadlineqos/internal/sim"
 	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
@@ -132,13 +134,6 @@ func (c *RelCounters) Add(other RelCounters) {
 	c.RxDup += other.RxDup
 }
 
-// relKey identifies a unique packet end-to-end: retransmit copies carry
-// fresh packet IDs but keep the (flow, seq) identity.
-type relKey struct {
-	flow packet.FlowID
-	seq  uint64
-}
-
 // relEntry tracks one injected, not-yet-acknowledged packet at its source.
 type relEntry struct {
 	pkt     packet.Packet // snapshot of the last transmitted copy
@@ -150,9 +145,59 @@ type relEntry struct {
 	timer  sim.Handle
 }
 
-// relState is the sender-side tracker of one host.
+// relState is the sender side of one host's reliability layer. The
+// tracked entries live in their flows' windows; released entries wait,
+// zeroed, in free for the next packet tracked.
 type relState struct {
-	entries map[relKey]*relEntry
+	free        []*relEntry
+	outstanding int // entries tracked across all flows
+}
+
+// relWindow holds one sender flow's tracked packets, indexed by sequence
+// number: the entry for seq sits in ring[seq&(len(ring)-1)] while seq is
+// in [base, end), nil when seq is untracked, and every slot outside the
+// window is nil. An ack clears its slot and moves base past the nil
+// front, so the window spans the flow's unacknowledged packets.
+type relWindow struct {
+	base, end uint64
+	ring      []*relEntry
+}
+
+// get returns the entry tracking seq, or nil.
+func (w *relWindow) get(seq uint64) *relEntry {
+	if seq < w.base || seq >= w.end {
+		return nil
+	}
+	return w.ring[seq&uint64(len(w.ring)-1)]
+}
+
+// put tracks e at an untracked seq, widening the window to it at either
+// end. Below base happens when a queued retransmit copy is injected after
+// its ack arrived, or a later seq of the flow overtook a first
+// transmission.
+func (w *relWindow) put(seq uint64, e *relEntry) {
+	if w.base == w.end {
+		w.base, w.end = seq, seq
+	}
+	lo, hi := min(w.base, seq), max(w.end, seq+1)
+	if hi-lo > uint64(len(w.ring)) {
+		ring := make([]*relEntry, 1<<bits.Len64(hi-lo-1))
+		for s := w.base; s < w.end; s++ {
+			ring[s&uint64(len(ring)-1)] = w.get(s)
+		}
+		w.ring = ring
+	}
+	w.base, w.end = lo, hi
+	w.ring[seq&uint64(len(w.ring)-1)] = e
+}
+
+// clear untracks seq and moves base past the untracked front.
+func (w *relWindow) clear(seq uint64) {
+	mask := uint64(len(w.ring) - 1)
+	w.ring[seq&mask] = nil
+	for w.base < w.end && w.ring[w.base&mask] == nil {
+		w.base++
+	}
 }
 
 // trackInjected registers (or re-arms) tracking for a packet that just
@@ -160,26 +205,33 @@ type relState struct {
 // never a reference to the live packet, which the destination (possibly
 // on another parsim shard) mutates in flight.
 func (h *Host) trackInjected(p *packet.Packet) {
-	key := relKey{p.Flow, p.Seq}
-	e := h.rel.entries[key]
+	w := h.flows[p.Flow].rel
+	e := w.get(p.Seq)
 	if e == nil {
-		e = &relEntry{}
-		h.rel.entries[key] = e
+		if n := len(h.rel.free); n > 0 {
+			e = h.rel.free[n-1]
+			h.rel.free = h.rel.free[:n-1]
+		} else {
+			e = new(relEntry)
+		}
+		w.put(p.Seq, e)
+		h.rel.outstanding++
 	}
 	e.pkt = *p
 	e.queued = false
 	rto := h.cfg.Reliability.rto(e.retries)
-	e.timer = h.cfg.Eng.Post(h.cfg.Eng.Now()+rto, 0, sim.Payload{H: h, Kind: sim.KindRetx, A: uint64(key.flow), B: key.seq})
+	e.timer = h.cfg.Eng.Post(h.cfg.Eng.Now()+rto, 0, sim.Payload{H: h, Kind: sim.KindRetx, A: uint64(p.Flow), B: p.Seq})
 }
 
-// onRetxTimeout fires when a tracked packet's ack did not arrive in time.
-func (h *Host) onRetxTimeout(key relKey) {
-	e := h.rel.entries[key]
+// onRetxTimeout fires when the ack of (flow, seq) did not arrive in time.
+func (h *Host) onRetxTimeout(flow packet.FlowID, seq uint64) {
+	f := h.flows[flow]
+	e := f.rel.get(seq)
 	if e == nil || e.queued {
 		return
 	}
 	h.relCnt.Timeouts++
-	h.retransmit(e)
+	h.retransmit(f, e)
 }
 
 // AckEvent returns the typed event that, fired on this host's engine,
@@ -199,8 +251,8 @@ func (h *Host) handleAck(flow packet.FlowID, seq uint64, ok bool) {
 	if h.rel == nil {
 		return
 	}
-	key := relKey{flow, seq}
-	e := h.rel.entries[key]
+	f := h.flows[flow]
+	e := f.rel.get(seq)
 	if e == nil {
 		return // already acknowledged (stale duplicate report)
 	}
@@ -208,7 +260,10 @@ func (h *Host) handleAck(flow packet.FlowID, seq uint64, ok bool) {
 		if e.timer.Pending() {
 			h.cfg.Eng.Cancel(e.timer)
 		}
-		delete(h.rel.entries, key)
+		f.rel.clear(seq)
+		*e = relEntry{}
+		h.rel.free = append(h.rel.free, e)
+		h.rel.outstanding--
 		h.relCnt.Acked++
 		return
 	}
@@ -217,18 +272,17 @@ func (h *Host) handleAck(flow packet.FlowID, seq uint64, ok bool) {
 		if e.timer.Pending() {
 			h.cfg.Eng.Cancel(e.timer)
 		}
-		h.retransmit(e)
+		h.retransmit(f, e)
 	}
 }
 
 // retransmit queues a fresh copy of a tracked packet, re-stamped through
 // the flow's deadline calculus and demoted to best-effort after too many
-// retries.
-func (h *Host) retransmit(e *relEntry) {
+// retries. e is f's entry.
+func (h *Host) retransmit(f *Flow, e *relEntry) {
 	e.retries++
 	h.relCnt.Retransmitted++
 
-	f := h.flows[e.pkt.Flow]
 	cp := e.pkt
 	cp.ID = h.cfg.IDs.NextPacket()
 	cp.Hop = 0
@@ -292,7 +346,7 @@ func (h *Host) Outstanding() int {
 	if h.rel == nil {
 		return 0
 	}
-	return len(h.rel.entries)
+	return h.rel.outstanding
 }
 
 // RelCounters returns the host's recovery-layer counters.
@@ -301,56 +355,37 @@ func (h *Host) RelCounters() RelCounters { return h.relCnt }
 // --- receive-side sequence tracking --------------------------------------
 
 // rxFlow tracks which sequence numbers of one incoming flow have been
-// delivered, for duplicate suppression and gap NAKs. All seqs below next
-// are delivered; have holds the sparse set at or above it.
+// delivered, for duplicate suppression and gap NAKs. got holds the
+// delivered seqs; a seq above its frontier that was NAKed carries got's
+// flag.
 type rxFlow struct {
-	next  uint64
-	have  map[uint64]struct{}
-	naked map[uint64]struct{}
+	got seqset.Set
 	// scanned is the end of the furthest gap scan so far: every seq in
-	// [next, scanned) is in have or naked, because a seq leaves naked only
-	// when it arrives (mark), so a later scan starts at max(next, scanned).
+	// [got.Next(), scanned) is delivered or flagged, because a flag clears
+	// only when the frontier passes its seq, which by then has arrived
+	// (mark), so a later scan starts at max(got.Next(), scanned).
 	scanned uint64
 }
 
-func newRxFlow() *rxFlow {
-	return &rxFlow{have: make(map[uint64]struct{}), naked: make(map[uint64]struct{})}
-}
-
 // seen reports whether seq was already delivered.
-func (r *rxFlow) seen(seq uint64) bool {
-	if seq < r.next {
-		return true
-	}
-	_, ok := r.have[seq]
-	return ok
-}
+func (r *rxFlow) seen(seq uint64) bool { return r.got.Has(seq) }
 
 // mark records seq as delivered and advances the contiguous frontier.
-func (r *rxFlow) mark(seq uint64) {
-	r.have[seq] = struct{}{}
-	delete(r.naked, seq)
-	for {
-		if _, ok := r.have[r.next]; !ok {
-			break
-		}
-		delete(r.have, r.next)
-		r.next++
-	}
-}
+func (r *rxFlow) mark(seq uint64) { r.got.Add(seq) }
+
+// naked records that seq was NAKed for a corrupted copy. Below the
+// frontier seq was delivered already and nothing is kept.
+func (r *rxFlow) naked(seq uint64) { r.got.Flag(seq) }
 
 // gaps returns the missing sequence numbers below seq that have not been
 // NAKed yet, marking them NAKed. Call after mark(seq).
 func (r *rxFlow) gaps(seq uint64) []uint64 {
 	var out []uint64
-	for s := max(r.next, r.scanned); s < seq; s++ {
-		if _, got := r.have[s]; got {
+	for s := max(r.got.Next(), r.scanned); s < seq; s++ {
+		if r.got.Has(s) || r.got.Flagged(s) {
 			continue
 		}
-		if _, nd := r.naked[s]; nd {
-			continue
-		}
-		r.naked[s] = struct{}{}
+		r.got.Flag(s)
 		out = append(out, s)
 	}
 	r.scanned = max(r.scanned, seq)
@@ -361,7 +396,7 @@ func (r *rxFlow) gaps(seq uint64) []uint64 {
 func (h *Host) rxFlowOf(id packet.FlowID) *rxFlow {
 	r := h.rx[id]
 	if r == nil {
-		r = newRxFlow()
+		r = new(rxFlow)
 		h.rx[id] = r
 	}
 	return r

@@ -101,7 +101,7 @@ type Link struct {
 	// in flight across a flap).
 	down      bool
 	downEpoch uint64
-	ber       float64
+	berLog    float64 // log1p(-BER); 0 when the bit-error process is off
 	berRng    *xrand.Rand
 	inFlight  uint64
 
@@ -165,7 +165,7 @@ func (l *Link) Send(p *packet.Packet) {
 	l.sent++
 	l.sentSize += p.Size
 	l.busyAccum += tx
-	if l.ber > 0 && l.berRng.Float64() < CorruptionProb(l.ber, p.Size) && !p.Corrupted {
+	if l.berLog != 0 && l.berRng.Float64() < l.corruptionProb(p.Size) && !p.Corrupted {
 		p.Corrupted = true
 		l.corrupted++
 		if l.OnCorrupt != nil {
@@ -351,18 +351,14 @@ func (l *Link) SetBER(ber float64, rng *xrand.Rand) {
 	if ber < 0 || ber >= 1 {
 		panic(fmt.Sprintf("link: BER %v out of [0,1)", ber))
 	}
-	l.ber = ber
+	l.berLog = math.Log1p(-ber)
 	l.berRng = rng
 }
 
-// CorruptionProb returns the probability that a packet of the given wire
-// size is corrupted on a link with the given bit-error rate:
-// 1 - (1-ber)^bits.
-func CorruptionProb(ber float64, size units.Size) float64 {
-	if ber <= 0 {
-		return 0
-	}
-	return -math.Expm1(float64(8*size) * math.Log1p(-ber))
+// corruptionProb returns the probability that a packet of the given wire
+// size is corrupted by the link's bit-error process: 1 - (1-BER)^bits.
+func (l *Link) corruptionProb(size units.Size) float64 {
+	return -math.Expm1(float64(8*size) * l.berLog)
 }
 
 // InFlight returns the number of packets currently on the wire (sent, not

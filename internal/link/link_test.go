@@ -1,11 +1,13 @@
 package link
 
 import (
+	"math"
 	"testing"
 
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/sim"
 	"deadlineqos/internal/units"
+	"deadlineqos/internal/xrand"
 )
 
 type sink struct {
@@ -402,5 +404,35 @@ func TestSendCycleAllocatesNothing(t *testing.T) {
 	if s.received != 1001 || ready != 2*1001 || l.Credits(packet.VCRegulated) != 8*units.Kilobyte {
 		t.Fatalf("received %d, OnReady %d, credits %v; want 1001, 2002, full",
 			s.received, ready, l.Credits(packet.VCRegulated))
+	}
+}
+
+// refCorruptionProb is the corruption probability with the logarithm
+// taken on every call: 1 - (1-ber)^bits.
+func refCorruptionProb(ber float64, size units.Size) float64 {
+	if ber <= 0 {
+		return 0
+	}
+	return -math.Expm1(float64(8*size) * math.Log1p(-ber))
+}
+
+// TestCorruptionProbMatchesReference requires the link's probability,
+// with log1p(-BER) taken once in SetBER, to equal the reference bit for
+// bit at every BER decade and every size from a 1-byte payload to the
+// MTU, so every corruption draw is unchanged.
+func TestCorruptionProbMatchesReference(t *testing.T) {
+	l := New(sim.New(), 1, 1, 8*units.Kilobyte, &sink{})
+	for _, ber := range []float64{1e-9, 3e-9, 1e-8, 1e-7, 2.5e-7, 1e-6, 1e-5, 7e-5, 1e-4, 1e-3} {
+		l.SetBER(ber, xrand.New(1))
+		for size := packet.HeaderSize + 1; size <= 2*units.Kilobyte; size++ {
+			got, want := l.corruptionProb(size), refCorruptionProb(ber, size)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("BER %g size %v: %v, reference %v", ber, size, got, want)
+			}
+		}
+	}
+	l.SetBER(0, nil)
+	if l.berLog != 0 {
+		t.Fatalf("BER 0 leaves the bit-error process on (log %v)", l.berLog)
 	}
 }

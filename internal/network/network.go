@@ -14,6 +14,7 @@ import (
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/parsim"
 	"deadlineqos/internal/policy"
+	"deadlineqos/internal/seqset"
 	"deadlineqos/internal/session"
 	"deadlineqos/internal/sim"
 	"deadlineqos/internal/stats"
@@ -123,7 +124,7 @@ type netShard struct {
 	tracer        *trace.Tracer
 	cons          faults.Conservation
 	injector      faults.Injector
-	deliveredOnce map[deliveryKey]struct{}
+	deliveredOnce map[packet.FlowID]*seqset.Set // delivery oracle; nil unless CheckInvariants
 	telemetry     *trace.Telemetry
 	sess          *session.Counters // nil unless Config.Sessions is set
 	avail         *availShard       // nil unless the fault plan is topological
@@ -191,13 +192,6 @@ type Network struct {
 	// admBuilt is adm's Counts after provisioning: the metrics plane
 	// publishes run-time admission decisions only.
 	admBuilt [3]uint64
-}
-
-// deliveryKey identifies a unique packet end-to-end for the delivery
-// oracle (retransmit copies share it).
-type deliveryKey struct {
-	flow packet.FlowID
-	seq  uint64
 }
 
 // Partition returns the shard assignment for every switch and host of
@@ -282,7 +276,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		sh.mtr = sch.newShardMetrics(cfg.Metrics)
 		if cfg.CheckInvariants {
-			sh.deliveredOnce = make(map[deliveryKey]struct{})
+			sh.deliveredOnce = make(map[packet.FlowID]*seqset.Set)
 		}
 		n.shards[i] = sh
 	}
@@ -453,12 +447,16 @@ func (n *Network) hooksFor(sh *netShard) hostif.Hooks {
 		Delivered: func(p *packet.Packet, now units.Time) {
 			sh.cons.DeliveredUnique++
 			if sh.deliveredOnce != nil {
-				key := deliveryKey{p.Flow, p.Seq}
-				if _, dup := sh.deliveredOnce[key]; dup {
+				// A unique packet is (flow, seq): retransmit copies share it.
+				seen := sh.deliveredOnce[p.Flow]
+				if seen == nil {
+					seen = new(seqset.Set)
+					sh.deliveredOnce[p.Flow] = seen
+				}
+				if !seen.Add(p.Seq) {
 					sh.cons.DoubleDeliveries++
 					sh.tracer.Flight().Trip("double-delivery", now)
 				}
-				sh.deliveredOnce[key] = struct{}{}
 			}
 			sh.collect.PacketDelivered(p, now)
 			// Delivery slack against the destination's clock: Deadline was

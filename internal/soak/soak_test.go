@@ -3,10 +3,6 @@ package soak
 import (
 	"encoding/json"
 	"testing"
-
-	"deadlineqos/internal/faults"
-	"deadlineqos/internal/network"
-	"deadlineqos/internal/session"
 )
 
 // TestSoakSmoke runs two randomized epochs and expects every invariant to
@@ -22,40 +18,6 @@ func TestSoakSmoke(t *testing.T) {
 	for _, ep := range rep.Epochs {
 		if ep.Results.Conservation.DeliveredUnique == 0 {
 			t.Fatalf("epoch %d delivered nothing", ep.Epoch)
-		}
-	}
-}
-
-// TestSoakEpochShardDeterminism pins a soak epoch to byte-identical
-// results at 1, 2 and 4 shards — the property that makes the printed
-// replay command trustworthy regardless of the shard count it ran under.
-func TestSoakEpochShardDeterminism(t *testing.T) {
-	type snap struct {
-		Cons  faults.Conservation
-		Trace []faults.TraceEntry
-		Avail *network.Availability
-		Sess  *session.Results
-	}
-	var base []byte
-	for _, shards := range []int{1, 2, 4} {
-		cfg := EpochConfig(Options{Seed: 3, Shards: shards}, 0)
-		res, err := network.Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		b, err := json.Marshal(snap{
-			Cons: res.Conservation, Trace: res.FaultTrace,
-			Avail: res.Availability, Sess: res.Sessions,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = b
-			continue
-		}
-		if string(b) != string(base) {
-			t.Fatalf("shards=%d diverges:\n%s\nvs sequential:\n%s", shards, b, base)
 		}
 	}
 }
