@@ -16,12 +16,17 @@
 // -allow-single-cpu is given, and each scenario takes the best of -iters
 // repetitions to shave scheduler noise.
 //
+// With -before and -after, qosbench instead diffs two result snapshots
+// written by qosim -json: it prints every metric that moved beyond
+// -tolerance and exits non-zero when there is one.
+//
 // Examples:
 //
 //	qosbench                           # gate simrate scenarios, 25% tolerance
 //	qosbench -max-regress 0.4 -iters 7
 //	qosbench -scenarios simrate,parsim
 //	qosbench -selftest-slowdown 2      # must exit non-zero (gate self-test)
+//	qosbench -before before.json -after after.json -tolerance 0.1
 package main
 
 import (
@@ -37,6 +42,8 @@ import (
 	"deadlineqos/internal/cli"
 	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/network"
+	"deadlineqos/internal/report"
+	"deadlineqos/internal/stats"
 	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
@@ -78,6 +85,9 @@ func run() error {
 		iters      = flag.Int("iters", 5, "measurement repetitions per scenario (best run gates)")
 		slowdown   = flag.Float64("selftest-slowdown", 0, "divide the measured throughput by this factor before gating (>1 simulates a regression; the gate must then fail)")
 		allowOne   = flag.Bool("allow-single-cpu", false, "run even with GOMAXPROCS <= 1 (throughput baselines are meaningless there)")
+		before     = flag.String("before", "", "diff mode: baseline snapshot (from qosim -json)")
+		after      = flag.String("after", "", "diff mode: candidate snapshot")
+		tolerance  = flag.Float64("tolerance", 0.10, "diff mode: relative change beyond which a metric is flagged")
 		prof       = cli.ProfileFlags()
 	)
 	flag.Parse()
@@ -86,6 +96,9 @@ func run() error {
 	}
 	defer prof.Stop()
 
+	if *before != "" || *after != "" {
+		return diffSnapshots(*before, *after, *tolerance)
+	}
 	if p := runtime.GOMAXPROCS(0); p <= 1 && !*allowOne {
 		return fmt.Errorf("GOMAXPROCS=%d: single-CPU throughput is not comparable to the committed baselines (override with -allow-single-cpu)", p)
 	}
@@ -234,6 +247,52 @@ func gateParsim(dir string, tol float64, slowdown float64) error {
 		}
 	}
 	return nil
+}
+
+// diffSnapshots compares two qosim -json snapshots and prints every
+// metric that moved more than tol, failing when one did.
+func diffSnapshots(beforePath, afterPath string, tol float64) error {
+	if beforePath == "" || afterPath == "" {
+		return fmt.Errorf("both -before and -after are required")
+	}
+	if tol <= 0 {
+		return fmt.Errorf("tolerance must be positive")
+	}
+	before, err := readSnapshot(beforePath)
+	if err != nil {
+		return err
+	}
+	after, err := readSnapshot(afterPath)
+	if err != nil {
+		return err
+	}
+	deltas := stats.Compare(before, after, tol)
+	if len(deltas) == 0 {
+		fmt.Printf("no metric moved more than %.0f%% between %q and %q\n",
+			100*tol, before.Label, after.Label)
+		return nil
+	}
+	t := report.NewTable(
+		fmt.Sprintf("metric changes beyond %.0f%% (%q -> %q)", 100*tol, before.Label, after.Label),
+		"class", "metric", "before", "after", "change")
+	for _, d := range deltas {
+		t.Add(d.Class, d.Metric,
+			fmt.Sprintf("%.4g", d.Before),
+			fmt.Sprintf("%.4g", d.After),
+			fmt.Sprintf("%+.1f%%", 100*d.Rel))
+	}
+	fmt.Println(t)
+	return fmt.Errorf("%d metric(s) moved beyond the tolerance", len(deltas))
+}
+
+// readSnapshot loads one qosim -json snapshot.
+func readSnapshot(path string) (*stats.Snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return stats.ReadSnapshot(f)
 }
 
 // readBaseline loads one scalar BENCH_<scenario>.json.

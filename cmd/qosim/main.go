@@ -260,7 +260,7 @@ func run() error {
 		skew        = flag.String("skew", "0", "max per-node clock skew (e.g. 5us)")
 		videoTrace  = flag.String("videotrace", "", "MPEG frame-size trace file for video streams (see traffic.LoadFrameTrace)")
 		dump        = flag.String("dump", "", "write a per-packet event CSV (generated/injected/delivered) to this file")
-		jsonOut     = flag.String("json", "", "write a result snapshot (see cmd/qosreport) to this file")
+		jsonOut     = flag.String("json", "", "write a result snapshot (diff two with qosbench -before -after) to this file")
 		probe       = flag.String("probe", "", "telemetry probe interval (e.g. 100us; empty = off)")
 		police      = flag.Bool("police", false, "enforce per-flow token-bucket policing at NIC ingress")
 		guard       = flag.String("guard", "0", "regulated-VC occupancy guard bytes per switch output (0 = off)")

@@ -128,7 +128,7 @@ func (p *prober) sample(t units.Time) {
 		p.sh.telemetry.Sessions = append(p.sh.telemetry.Sessions, trace.SessionSample{
 			T: t, Pod: d.PodLeaf(), Host: d.HostID(),
 			Active: d.ActiveSessions(), ReservedBW: d.ReservedNow(),
-			Accepted: d.LocalGrantCount(), Revoked: d.RevokedCount(),
+			Accepted: d.AcceptedCount(), Revoked: d.RevokedCount(),
 			LeaseFrac: d.LeaseFrac(), LeaseUtil: d.LeaseUtil(),
 			QueueDepth: d.QueueDepth(), Shed: d.ShedCount(),
 		})

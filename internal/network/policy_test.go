@@ -1,8 +1,6 @@
 package network
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"deadlineqos/internal/coflow"
@@ -82,37 +80,6 @@ func TestCoflowWorkloadCompletes(t *testing.T) {
 	}
 }
 
-// TestCoflowShardDeterminism pins the coflow driver's shard-safety claim:
-// statistics and coflow outcomes are byte-identical at 1, 2 and 4 shards.
-func TestCoflowShardDeterminism(t *testing.T) {
-	var ref *Results
-	var refJSON []byte
-	for _, shards := range []int{1, 2, 4} {
-		cfg := coflowConfig()
-		cfg.Policy = policy.CoflowEDF()
-		cfg.Shards = shards
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.Snapshot("coflow").WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refJSON = res, buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(refJSON, buf.Bytes()) {
-			t.Fatalf("stats diverge between 1 and %d shards", shards)
-		}
-		if !reflect.DeepEqual(ref.Coflows, res.Coflows) {
-			t.Fatalf("coflow results diverge between 1 and %d shards:\n%+v\nvs\n%+v",
-				shards, ref.Coflows, res.Coflows)
-		}
-	}
-}
-
 // TestValueDropEvictsUnderHotspot drives a best-effort hotspot into a
 // tightly bounded NIC queue and checks the eviction path end to end:
 // packets are shed, the books balance, and the shed value is accounted.
@@ -148,43 +115,5 @@ func TestValueDropEvictsUnderHotspot(t *testing.T) {
 	}
 	if wg := res.WeightedGoodput(); wg <= 0 || wg >= 1 {
 		t.Fatalf("weighted goodput %v out of (0, 1) under eviction", wg)
-	}
-}
-
-// TestValueDropShardDeterminism pins eviction accounting at 1 and 2
-// shards (the eviction decision is purely queue-local, so the bounded
-// queue must not break the byte-identity guarantee).
-func TestValueDropShardDeterminism(t *testing.T) {
-	var refJSON []byte
-	var refCons string
-	for _, shards := range []int{1, 2} {
-		cfg := SmallConfig()
-		cfg.Load = 1.0
-		cfg.ClassShare = [packet.NumClasses]float64{0.1, 0.1, 0.6, 0.2}
-		cfg.HotspotFraction = 0.7
-		cfg.HotspotHost = 0
-		cfg.WarmUp = units.Millisecond
-		cfg.Measure = 5 * units.Millisecond
-		cfg.Policy = policy.ValueDrop(32*units.Kilobyte, false)
-		cfg.Shards = shards
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.Snapshot("value-drop").WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		cons := res.Conservation.String()
-		if refJSON == nil {
-			refJSON, refCons = buf.Bytes(), cons
-			continue
-		}
-		if !bytes.Equal(refJSON, buf.Bytes()) {
-			t.Fatalf("stats diverge between 1 and %d shards", shards)
-		}
-		if cons != refCons {
-			t.Fatalf("conservation diverges between 1 and %d shards:\n%s\nvs\n%s", shards, refCons, cons)
-		}
 	}
 }

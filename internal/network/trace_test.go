@@ -59,31 +59,3 @@ func TestTraceRunArtifacts(t *testing.T) {
 		t.Errorf("max pending %d not recorded", res.Perf.MaxPending)
 	}
 }
-
-// TestTracerDoesNotChangeResults verifies the observability layers are
-// read-only: enabling tracing and probing must not change any simulation
-// outcome (delivery counts are a sensitive proxy for the full schedule).
-func TestTracerDoesNotChangeResults(t *testing.T) {
-	base := SmallConfig()
-	base.WarmUp = 200 * units.Microsecond
-	base.Measure = 2 * units.Millisecond
-	base.TrackOrderErrors = true
-
-	plain, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, traced := traceRun(t) // same config plus tracer and probes
-
-	for cl := range plain.PerClass {
-		p, q := &plain.PerClass[cl], &traced.PerClass[cl]
-		if p.GeneratedPackets != q.GeneratedPackets || p.DeliveredPackets != q.DeliveredPackets {
-			t.Errorf("class %d: plain gen=%d dlvr=%d, traced gen=%d dlvr=%d",
-				cl, p.GeneratedPackets, p.DeliveredPackets, q.GeneratedPackets, q.DeliveredPackets)
-		}
-	}
-	if plain.SimEvents == traced.SimEvents {
-		// Probe ticks add events, so equal counts mean probes did not run.
-		t.Error("traced run fired no extra probe events")
-	}
-}

@@ -10,9 +10,9 @@ import (
 )
 
 // Snapshot is a serialisable summary of one run's per-class metrics, for
-// archiving experiment results and regression comparison (cmd/qosreport).
-// All latencies are nanoseconds; throughputs are fractions of aggregate
-// host link capacity.
+// archiving experiment results and regression comparison (qosbench
+// -before -after). All latencies are nanoseconds; throughputs are
+// fractions of aggregate host link capacity.
 type Snapshot struct {
 	// Label identifies the run (architecture, load, seed...).
 	Label string `json:"label"`
