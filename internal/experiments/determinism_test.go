@@ -430,7 +430,7 @@ func detScenarios() []detScenario {
 				horizon := cfg.WarmUp + cfg.Measure
 				ids := transitLinkIDs(cfg.Topology)
 				cfg.Faults = GrayPlan(ids, horizon/6, horizon, 0.3)
-				cfg.Gray = &network.GrayConfig{Persistence: horizon / 8}
+				cfg.GrayPersistence = horizon / 8
 				cfg.Sessions = ChurnSessions(200 * units.Microsecond)
 				cfg.Metrics = metrics.NewRegistry()
 				return cfg
@@ -438,6 +438,32 @@ func detScenarios() []detScenario {
 			check: func(_ *network.Results, fp fingerprint) error {
 				return fp.nonZero("qos_gray_detected_total", "qos_gray_rerouted_flows_total",
 					"qos_gray_revalidations_total")
+			}},
+		{name: "gray-switch-failure",
+			// The slow-drain links of gray-drain (both directions of leaf
+			// 0's cable to spine 4), then an outage of spine 5, the gray
+			// detours' spine, after detection: route repair must steer
+			// around the gray links and the gray detours around the dead
+			// spine, all decided by the one replay of the plan.
+			cfg: func() network.Config {
+				cfg := detBase()
+				horizon := cfg.WarmUp + cfg.Measure
+				cfg.Faults = GrayPlan(transitLinkIDs(cfg.Topology), horizon/6, horizon, 0.3)
+				cfg.Faults.Events = append(cfg.Faults.Events,
+					faults.Event{At: horizon / 2, Link: faults.SwitchID(5), Kind: faults.SwitchDown},
+					faults.Event{At: 3 * horizon / 4, Link: faults.SwitchID(5), Kind: faults.SwitchUp})
+				cfg.GrayPersistence = horizon / 8
+				cfg.Sessions = ChurnSessions(200 * units.Microsecond)
+				return cfg
+			},
+			check: func(res *network.Results, _ fingerprint) error {
+				if res.Gray == nil || res.Gray.FlowsRerouted == 0 {
+					return fmt.Errorf("no static flow moved off the gray links: %v", res.Gray)
+				}
+				if res.Availability == nil || res.Availability.FlowsRerouted == 0 {
+					return fmt.Errorf("no static flow repaired around the dead spine: %v", res.Availability)
+				}
+				return nil
 			}},
 		{name: "chaos-spine-traced", traced: true,
 			// Link chaos plus a spine outage under the tracer, with order

@@ -248,7 +248,7 @@ func GrayDrain(opt Options) (*report.Table, error) {
 		horizon := cfg.WarmUp + cfg.Measure
 		cfg.Faults = GrayPlan(ids, cfg.WarmUp+units.Millisecond, horizon, 0.2)
 		if detect {
-			cfg.Gray = &network.GrayConfig{}
+			cfg.GrayPersistence = 500 * units.Microsecond
 		}
 		res, err := network.Run(cfg)
 		if err != nil {

@@ -100,13 +100,6 @@ type Config struct {
 	// unplanned from the fabric manager's point of view.
 	Faults *faults.Plan
 
-	// RepairDelay models the fabric-management latency between a
-	// topological fault event (SwitchDown/SwitchUp/PortDown/PortUp) and
-	// the repaired routes reaching the statically provisioned flows' NICs
-	// (default 1 µs). Session flows are repaired separately, in-band,
-	// through the CAC.
-	RepairDelay units.Time
-
 	// Police arms the guarantee-protection plane's ingress policer on
 	// every host NIC: each admitted flow is replayed through a dual token
 	// bucket (sustained rate = its reserved BWavg, burst tolerance
@@ -131,13 +124,14 @@ type Config struct {
 	// disables the guard (the seed behaviour).
 	GuardBytes units.Size
 
-	// Gray, when non-nil, arms the gray-failure detector: persistent
-	// fault-plan derates below Gray.Threshold are flagged as slow-drain
-	// links after Gray.Persistence, and the plane reacts before the SLO
-	// trips — static regulated flows re-route around the gray link
-	// (RepairPath) and session reservations crossing it revalidate
-	// through the CAC. Zero fields take their defaults.
-	Gray *GrayConfig
+	// GrayPersistence, when positive, arms the gray-failure detector: a
+	// fault-plan derate to 0.6 of nominal or below that still holds
+	// GrayPersistence plus the 1 µs management delay after it began marks
+	// its link gray, and the plane reacts before the SLO trips: static
+	// regulated flows re-route around the gray link (RepairPath) and
+	// session reservations crossing it revalidate through the CAC. Zero
+	// turns the detector off.
+	GrayPersistence units.Time
 
 	// Policy selects the scheduling policy plugged into every host NIC
 	// and switch arbiter (see internal/policy). Nil selects
@@ -396,16 +390,8 @@ func (cfg *Config) validate() error {
 	if cfg.GuardBytes < 0 {
 		return fmt.Errorf("network: negative guard bytes %v", cfg.GuardBytes)
 	}
-	if cfg.Gray != nil {
-		if err := cfg.Gray.validate(); err != nil {
-			return fmt.Errorf("network: %w", err)
-		}
-	}
-	if cfg.RepairDelay < 0 {
-		return fmt.Errorf("network: negative repair delay %v", cfg.RepairDelay)
-	}
-	if cfg.RepairDelay == 0 {
-		cfg.RepairDelay = units.Microsecond
+	if cfg.GrayPersistence < 0 {
+		return fmt.Errorf("network: negative gray persistence %v", cfg.GrayPersistence)
 	}
 	if cfg.Shards < 0 {
 		return fmt.Errorf("network: shard count %d is negative", cfg.Shards)

@@ -5,6 +5,7 @@ import (
 
 	"deadlineqos/internal/faults"
 	"deadlineqos/internal/session"
+	"deadlineqos/internal/topology"
 	"deadlineqos/internal/units"
 )
 
@@ -28,7 +29,7 @@ func grayConfig(detect bool) Config {
 		},
 	}
 	if detect {
-		cfg.Gray = &GrayConfig{}
+		cfg.GrayPersistence = 500 * units.Microsecond
 	}
 	return cfg
 }
@@ -70,28 +71,114 @@ func TestGrayDetectorReroutesSlowDrain(t *testing.T) {
 }
 
 // TestGrayTransientBelowPersistence checks the dip filter: a derate that
-// heals before the persistence bound must not be declared gray, so the
-// detector takes no action at all.
+// heals before the detector fires (persistence plus the management delay
+// after it began) must not be declared gray, so the detector takes no
+// action and the root CAC's ledger ends the run at the link's full limit.
+// The last three heals fall between the persistence bound and the
+// detection instant, the last exactly on it.
 func TestGrayTransientBelowPersistence(t *testing.T) {
-	cfg := grayConfig(true)
 	link := faults.LinkID{Switch: 0, Port: 5}
-	cfg.Gray = &GrayConfig{Persistence: 2 * units.Millisecond}
-	cfg.Faults = &faults.Plan{
-		Seed: 11,
-		Events: []faults.Event{
-			{At: 2 * units.Millisecond, Link: link, Kind: faults.Derate, Scale: 0.2},
-			{At: 3 * units.Millisecond, Link: link, Kind: faults.Derate, Scale: 1.0},
-		},
+	for _, tc := range []struct {
+		name              string
+		persistence, heal units.Time
+	}{
+		{"before-bound", 2 * units.Millisecond, 3 * units.Millisecond},
+		{"at-bound", units.Millisecond, 3 * units.Millisecond},
+		{"inside-delay", units.Millisecond, 3*units.Millisecond + 500*units.Nanosecond},
+		{"at-detection", units.Millisecond, 3*units.Millisecond + units.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := grayConfig(true)
+			cfg.GrayPersistence = tc.persistence
+			cfg.Faults = &faults.Plan{
+				Seed: 11,
+				Events: []faults.Event{
+					{At: 2 * units.Millisecond, Link: link, Kind: faults.Derate, Scale: 0.2},
+					{At: tc.heal, Link: link, Kind: faults.Derate, Scale: 1.0},
+				},
+			}
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			before := n.Admission().LinkLimit(link.Switch, link.Port)
+			res := n.Run()
+			g := res.Gray
+			if g == nil {
+				t.Fatal("armed detector produced no Gray report")
+			}
+			if g.Detections != 0 || g.FlowsRerouted != 0 || g.Revalidations != 0 {
+				t.Fatalf("transient dip triggered the detector: %v", g)
+			}
+			if after := n.Admission().LinkLimit(link.Switch, link.Port); after != before {
+				t.Fatalf("root CAC limit of %v ends at %v, was %v before the dip", link, after, before)
+			}
+		})
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+}
+
+// TestGrayAndSwitchFailureShareOneView runs a gray link and a spine outage
+// together, in both orders, and clears neither. Route repair and the gray
+// detector must act on one view of the fabric: no registered static flow
+// may end on the dead spine 4, and none may cross the gray uplink (0,5)
+// while a detour over the healthy spines 6 or 7 exists.
+func TestGrayAndSwitchFailureShareOneView(t *testing.T) {
+	const deadSpine = 4
+	gray := faults.LinkID{Switch: 0, Port: 5}
+	outage := func(at units.Time) faults.Event {
+		return faults.Event{At: at, Link: faults.SwitchID(deadSpine), Kind: faults.SwitchDown}
 	}
-	g := res.Gray
-	if g == nil {
-		t.Fatal("armed detector produced no Gray report")
+	derate := func(at units.Time) faults.Event {
+		return faults.Event{At: at, Link: gray, Kind: faults.Derate, Scale: 0.2}
 	}
-	if g.Detections != 0 || g.FlowsRerouted != 0 || g.Revalidations != 0 {
-		t.Fatalf("transient dip triggered the detector: %v", g)
+	for _, tc := range []struct {
+		name   string
+		events []faults.Event
+	}{
+		{"derate-then-outage", []faults.Event{derate(2 * units.Millisecond), outage(4 * units.Millisecond)}},
+		{"outage-then-derate", []faults.Event{outage(2 * units.Millisecond), derate(3 * units.Millisecond)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := grayConfig(true)
+			cfg.Faults = &faults.Plan{Seed: 11, Events: tc.events}
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			res := n.Run()
+			if err := res.Conservation.Check(); err != nil {
+				t.Fatalf("conservation: %v\n%v", err, res.Conservation)
+			}
+			if g := res.Gray; g == nil || g.Detections != 1 || g.FlowsRerouted == 0 {
+				t.Fatalf("gray report %v, want one detection that moved flows", g)
+			}
+			if av := res.Availability; av == nil || av.FlowsRerouted == 0 {
+				t.Fatalf("availability %v, want repaired static flows", av)
+			}
+			// faultedSpine blocks every link of spines 4 and 5, the only
+			// spines the plan touches: a RepairPath under it runs over
+			// spine 6 or 7.
+			faultedSpine := func(sw, out int) bool {
+				peer := n.topo.Peer(sw, out)
+				return sw == deadSpine || sw == 5 || (!peer.IsHost && (peer.ID == deadSpine || peer.ID == 5))
+			}
+			var onDead, onGray int
+			for _, rf := range n.repairFlows {
+				route := n.hosts[rf.host].Flow(rf.id).Route
+				for _, h := range topology.RouteHops(n.topo, rf.src, route) {
+					if h.Switch == deadSpine {
+						onDead++
+					}
+					if h.Switch == gray.Switch && h.OutPort == gray.Port &&
+						topology.RepairPath(n.topo, rf.src, rf.dst, faultedSpine) != nil {
+						onGray++
+					}
+				}
+			}
+			if onDead != 0 || onGray != 0 {
+				t.Fatalf("of %d static flows, %d end routed through dead spine %d and %d across gray link %v with a detour spare",
+					len(n.repairFlows), onDead, deadSpine, onGray, gray)
+			}
+		})
 	}
 }

@@ -221,10 +221,11 @@ func (n *Network) admShard() int {
 
 // publishMetrics stores the running totals and gauges a shard may
 // legally read into its set — its own engine, the links it sends on, its
-// own switches and hosts, its session and gray-detector counters, plus
-// the CAC state on the owning shard — then publishes the shard's
-// snapshot for the scrape server. Called on the shard's goroutine at
-// probe ticks and on the main goroutine once the engines have stopped.
+// own switches, hosts and CAC endpoints, its session and gray-detector
+// counters, plus the admission state on the owning shard — then
+// publishes the shard's snapshot for the scrape server. Called on the
+// shard's goroutine at probe ticks and on the main goroutine once the
+// engines have stopped.
 func (n *Network) publishMetrics(shard int, t units.Time) {
 	sh := n.shards[shard]
 	sm := sh.mtr
@@ -287,15 +288,24 @@ func (n *Network) publishMetrics(shard int, t units.Time) {
 	set.Gauge(sch.hostPending).Set(pending)
 
 	if c := sh.sess; c != nil {
+		var accepted, rejected, revoked, shed uint64
+		for _, e := range n.cacs {
+			if e.shard == shard {
+				accepted += e.cac.AcceptedCount()
+				rejected += e.cac.RejectedCount()
+				revoked += e.cac.RevokedCount()
+				shed += e.cac.ShedCount()
+			}
+		}
 		store(sch.sessStarted, c.Started)
 		store(sch.sessGranted, c.Granted)
-		store(sch.sessAccepted, c.Accepted)
-		store(sch.sessRejected, c.Rejected)
+		store(sch.sessAccepted, accepted)
+		store(sch.sessRejected, rejected)
 		store(sch.sessReleased, c.Released)
-		store(sch.sessRevoked, c.Revoked)
+		store(sch.sessRevoked, revoked)
 		store(sch.sessLocal, c.LocalGrants)
 		store(sch.sessEscalated, c.Escalated)
-		store(sch.sessShed, c.Shed)
+		store(sch.sessShed, shed)
 	}
 	if g := sh.gray; g != nil {
 		store(sch.grayDetected, g.detected)

@@ -100,9 +100,9 @@ type Results struct {
 	// innocent/rogue multimedia miss split behind the isolation metric.
 	Police *PoliceSummary
 
-	// Gray summarises the gray-failure detector (nil unless Config.Gray):
-	// slow-drain links flagged, proactive reroutes, and session
-	// revalidation sweeps.
+	// Gray summarises the gray-failure detector (nil unless
+	// Config.GrayPersistence is positive): slow-drain links flagged,
+	// proactive reroutes, and session revalidation sweeps.
 	Gray *GrayReport
 
 	// Telemetry holds the periodic per-port and engine probe series (nil
@@ -128,7 +128,7 @@ type netShard struct {
 	telemetry     *trace.Telemetry
 	sess          *session.Counters // nil unless Config.Sessions is set
 	avail         *availShard       // nil unless the fault plan is topological
-	gray          *grayShard        // nil unless Config.Gray is armed
+	gray          *grayShard        // nil unless the gray detector is armed
 	mtr           *shardMetrics     // nil unless Config.Metrics is set
 	links         []*link.Link      // the links this shard sends on
 }
@@ -153,6 +153,7 @@ type Network struct {
 	sessCfg       session.Config
 	sessClients   []*session.Client
 	sessDelegates []*session.Delegate
+	cacs          []shardCAC // the root, then the delegates in order
 
 	// Sharded execution state (see internal/parsim). nshards == 1 is the
 	// sequential layout: one shard, no mailbox queues.
@@ -163,10 +164,12 @@ type Network struct {
 	queues    [][]*parsim.Queue // queues[from][to]; nil on the diagonal
 	lookahead units.Time
 
-	// Fault machinery: every live link (for conservation accounting and
-	// BER wiring), switch output links by fault address, host injection
-	// links by host, and the plan's per-event execution slots (slot i is
-	// normalized event i; disjoint shards write disjoint slots).
+	// Fault machinery: the plan's events in time order (normalized once,
+	// here, for every consumer), every live link (for conservation
+	// accounting and BER wiring), switch output links by fault address,
+	// host injection links by host, and the plan's per-event execution
+	// slots (slot i is events[i]; disjoint shards write disjoint slots).
+	events     []faults.Event
 	links      []*link.Link
 	linkByID   map[faults.LinkID]*link.Link
 	hostUp     []*link.Link
@@ -181,11 +184,10 @@ type Network struct {
 	// tracer (nil otherwise; shard clones live in netShard.tracer).
 	flightTracer *trace.Tracer
 
-	// Route-repair coordinator state (see repair.go; zero unless the fault
-	// plan contains topological events). grayOn additionally fills the
-	// flow registry for the gray-failure detector (gray.go).
-	repairOn    bool
-	grayOn      bool
+	// Fault replay state (see replay.go): trackFlows fills the registry
+	// of static flows the replay may move, when the plan has switch or
+	// port events or the gray detector is armed.
+	trackFlows  bool
 	repairFlows []regFlow
 	avail       *Availability
 
@@ -232,8 +234,8 @@ func New(cfg Config) (*Network, error) {
 	if n.pol == nil {
 		n.pol = policy.Default()
 	}
-	n.repairOn = cfg.Faults.HasTopological()
-	n.grayOn = cfg.Gray != nil && !cfg.Faults.Empty()
+	n.events = cfg.Faults.Normalized()
+	n.trackFlows = cfg.Faults.HasTopological() || (cfg.GrayPersistence > 0 && !cfg.Faults.Empty())
 	n.swShard, n.hostShard, n.nshards = Partition(n.topo, cfg.Shards)
 	n.lookahead = cfg.PropDelay
 	if cfg.Reliability.Enabled {
@@ -408,6 +410,11 @@ func New(cfg Config) (*Network, error) {
 	if err := n.provisionSessions(rng); err != nil {
 		return nil, err
 	}
+	// One replay of the fault plan decides every management reaction. The
+	// CAC notices are scheduled before the coflow start events, the route
+	// swaps and gray reactions after them.
+	react := n.replayFaults()
+	n.schedule(react.cac)
 	if err := n.provisionCoflows(); err != nil {
 		return nil, err
 	}
@@ -415,8 +422,8 @@ func New(cfg Config) (*Network, error) {
 	// shard during the run, so that shard publishes its counts, less the
 	// pre-run provisioning above.
 	n.admBuilt[0], n.admBuilt[1], n.admBuilt[2] = n.adm.Counts()
-	n.installRepair()
-	n.installGray()
+	n.schedule(react.repair)
+	n.schedule(react.gray)
 	return n, nil
 }
 
@@ -652,7 +659,7 @@ func expandTopological(topo topology.Topology, ev faults.Event) []linkAction {
 	return acts
 }
 
-// downTimeline replays the plan's normalized events through the per-link
+// downTimeline replays the plan's time-ordered events through the per-link
 // up/down state machine and returns, per link, the times of the applied
 // up/down transitions. Transitions strictly alternate starting with a
 // down (links are built up), so a prefix count's parity gives the link
@@ -662,8 +669,8 @@ func expandTopological(topo topology.Topology, ev faults.Event) []linkAction {
 // state). Topological events are expanded with expandTopological so
 // their member links transition exactly as the live installer applies
 // them.
-func downTimeline(topo topology.Topology, plan *faults.Plan) map[faults.LinkID][]units.Time {
-	if plan.Empty() {
+func downTimeline(topo topology.Topology, evs []faults.Event) map[faults.LinkID][]units.Time {
+	if len(evs) == 0 {
 		return nil
 	}
 	down := make(map[faults.LinkID]bool)
@@ -674,7 +681,7 @@ func downTimeline(topo topology.Topology, plan *faults.Plan) map[faults.LinkID][
 			out[id] = append(out[id], at)
 		}
 	}
-	for _, ev := range plan.Normalized() {
+	for _, ev := range evs {
 		switch {
 		case ev.Kind == faults.LinkDown:
 			apply(ev.Link, true, ev.At)
@@ -734,7 +741,7 @@ func (n *Network) wire() {
 		}
 		return cfg.LinkBW
 	}
-	timeline := downTimeline(n.topo, cfg.Faults)
+	timeline := downTimeline(n.topo, n.events)
 	nextCh := uint32(1)
 	newLink := func(sh *netShard, bw units.Bandwidth, dst link.Receiver) *link.Link {
 		l := link.New(sh.eng, bw, cfg.PropDelay, cfg.BufPerVC, dst)
@@ -823,7 +830,7 @@ func (n *Network) installFaults() {
 			}
 		}
 	}
-	evs := plan.Normalized()
+	evs := n.events
 	n.faultSlots = make([]faults.TraceEntry, len(evs))
 	n.faultDone = make([]bool, len(evs))
 	resolve := func(id faults.LinkID) *link.Link { return n.linkByID[id] }

@@ -1,23 +1,9 @@
 package network
 
-// Route repair and graceful degradation under switch/port failures.
-//
-// The paper's admission control fixes a source route per flow (§3). When a
-// fault plan kills a switch or cuts a cable, every fixed route crossing it
-// blackholes. This file models the fabric-management reaction for the
-// statically provisioned flows (the dynamic session subsystem repairs its
-// own flows through the CAC, see internal/session): a build-time replay of
-// the plan's topological events decides, deterministically, which flows
-// break at each fault, computes a repaired route over the surviving fabric
-// (topology.RepairPath), and schedules the route swap RepairDelay after
-// the fault on the owning host's shard. Pairs the surviving fabric cannot
-// connect degrade gracefully: the source keeps transmitting, the dead
-// links and switches account every packet, and the flow is reported
-// unreachable instead of wedging the run.
-//
-// Because the whole decision process replays the static plan at build
-// time, it is a pure function of (topology, plan): the schedule — and with
-// it every counter below — is byte-identical at any shard count.
+// Availability reporting under switch and port failures: the per-shard
+// counters the route repairs of the fault replay (replay.go) feed, and
+// their merge into Results.Availability, plus the structural audit the
+// soak harness runs between epochs.
 
 import (
 	"fmt"
@@ -25,7 +11,6 @@ import (
 	"deadlineqos/internal/faults"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/stats"
-	"deadlineqos/internal/topology"
 	"deadlineqos/internal/units"
 )
 
@@ -75,6 +60,20 @@ func (a *Availability) String() string {
 		a.RepairP50, a.RepairP99, a.RepairCount)
 }
 
+// record counts one executed switch or port event, before the replay
+// applies it to deadSw (its dead switches, with the instant each died).
+func (a *Availability) record(ev faults.Event, deadSw map[int]units.Time) {
+	switch ev.Kind {
+	case faults.SwitchDown:
+		a.SwitchDowns++
+	case faults.SwitchUp:
+		a.SwitchUps++
+		a.Downtime += ev.At - deadSw[ev.Link.Switch]
+	case faults.PortDown:
+		a.PortDowns++
+	}
+}
+
 // availShard is one shard's repair activity, recorded by the scheduled
 // repair events as they execute (so a repair scheduled past the horizon is
 // not counted) and merged order-independently at the end of Run.
@@ -83,170 +82,6 @@ type availShard struct {
 	restored    uint64
 	unreachable uint64
 	ttr         *stats.Histogram
-}
-
-// regFlow is one statically provisioned flow registered with the repair
-// coordinator.
-type regFlow struct {
-	host     int // owning (source) host
-	id       packet.FlowID
-	src, dst int
-}
-
-// registerRepairFlow records a provisioned flow for route repair and the
-// gray-failure detector. No-op unless the fault plan contains topological
-// events or the detector is armed.
-func (n *Network) registerRepairFlow(host int, id packet.FlowID, src, dst int) {
-	if !n.repairOn && !n.grayOn {
-		return
-	}
-	n.repairFlows = append(n.repairFlows, regFlow{host: host, id: id, src: src, dst: dst})
-}
-
-// installRepair replays the plan's topological events at build time and
-// schedules every repair decision into the shard engines. Runs after all
-// static flows (traffic and session signalling) are provisioned.
-func (n *Network) installRepair() {
-	if !n.repairOn {
-		return
-	}
-	horizon := n.cfg.WarmUp + n.cfg.Measure
-	delay := n.cfg.RepairDelay
-	for _, sh := range n.shards {
-		sh.avail = &availShard{ttr: stats.NewHistogram()}
-	}
-	av := &Availability{}
-	n.avail = av
-
-	// Dead-set state machine, mirroring what the live fault installer does
-	// to the links: a dead switch blocks all its links, a cut cable blocks
-	// both its directions.
-	deadSw := make(map[int]bool)
-	deadLink := make(map[faults.LinkID]bool)
-	blocked := func(sw, out int) bool {
-		if deadSw[sw] || deadLink[faults.LinkID{Switch: sw, Port: out}] {
-			return true
-		}
-		peer := n.topo.Peer(sw, out)
-		return !peer.IsHost && peer.ID >= 0 && deadSw[peer.ID]
-	}
-	routeBroken := func(rf regFlow, route []int) bool {
-		srcSw, srcPort := n.topo.HostPort(rf.src)
-		if blocked(srcSw, srcPort) {
-			return true // injection cable cut or source leaf dead
-		}
-		for _, h := range topology.RouteHops(n.topo, rf.src, route) {
-			if blocked(h.Switch, h.OutPort) {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Shadow routes track the coordinator's view: the route each flow will
-	// have once its pending swap applies.
-	routes := make([][]int, len(n.repairFlows))
-	broken := make([]bool, len(n.repairFlows))
-	brokenAt := make([]units.Time, len(n.repairFlows))
-	for i, rf := range n.repairFlows {
-		routes[i] = n.hosts[rf.host].Flow(rf.id).Route
-	}
-	downSince := make(map[int]units.Time)
-
-	for _, ev := range planEvents(n.cfg.Faults) {
-		if !ev.Kind.Topological() || ev.At > horizon {
-			continue // events past the horizon never execute
-		}
-		switch ev.Kind {
-		case faults.SwitchDown:
-			deadSw[ev.Link.Switch] = true
-			downSince[ev.Link.Switch] = ev.At
-			av.SwitchDowns++
-		case faults.SwitchUp:
-			deadSw[ev.Link.Switch] = false
-			av.SwitchUps++
-			av.Downtime += ev.At - downSince[ev.Link.Switch]
-			delete(downSince, ev.Link.Switch)
-		case faults.PortDown, faults.PortUp:
-			down := ev.Kind == faults.PortDown
-			if down {
-				av.PortDowns++
-			}
-			deadLink[ev.Link] = down
-			if peer := n.topo.Peer(ev.Link.Switch, ev.Link.Port); !peer.IsHost && peer.ID >= 0 {
-				deadLink[faults.LinkID{Switch: peer.ID, Port: peer.Port}] = down
-			}
-			// A cut host cable has no reverse LinkID; blocked() already
-			// covers both directions through the forward entry.
-		}
-
-		// Sweep the registry in registration order (deterministic).
-		for i, rf := range n.repairFlows {
-			if !routeBroken(rf, routes[i]) {
-				if broken[i] {
-					// The fault's clearing revived the existing route; no
-					// management action needed, the blackhole just ended.
-					broken[i] = false
-					ttr := ev.At - brokenAt[i]
-					n.scheduleAvail(rf.host, ev.At, func(a *availShard) {
-						a.restored++
-						a.ttr.Add(ttr)
-					})
-				}
-				continue
-			}
-			hops := topology.RepairPath(n.topo, rf.src, rf.dst, blocked)
-			if hops == nil {
-				if !broken[i] {
-					broken[i] = true
-					brokenAt[i] = ev.At
-					n.scheduleAvail(rf.host, ev.At+delay, func(a *availShard) {
-						a.unreachable++
-					})
-				}
-				continue
-			}
-			newRoute := topology.Ports(hops)
-			routes[i] = newRoute
-			at := ev.At + delay
-			wasBroken := broken[i]
-			ttr := at - ev.At
-			if wasBroken {
-				broken[i] = false
-				ttr = at - brokenAt[i]
-			}
-			rf := rf
-			n.scheduleAvail(rf.host, at, func(a *availShard) {
-				n.hosts[rf.host].Flow(rf.id).Route = newRoute
-				if wasBroken {
-					a.restored++
-				} else {
-					a.rerouted++
-				}
-				a.ttr.Add(ttr)
-			})
-		}
-	}
-	// Switches still dead at the horizon accrue downtime to the end of the
-	// run (integer sum: map iteration order does not matter).
-	for _, since := range downSince {
-		av.Downtime += horizon - since
-	}
-}
-
-// scheduleAvail schedules one repair action on host's shard engine,
-// handing it the shard's availability counters.
-func (n *Network) scheduleAvail(host int, at units.Time, fn func(a *availShard)) {
-	sh := n.shards[n.hostShard[host]]
-	sh.eng.At(at, func() { fn(sh.avail) })
-}
-
-// planEvents returns the plan's normalized events (nil-safe).
-func planEvents(plan *faults.Plan) []faults.Event {
-	if plan == nil {
-		return nil
-	}
-	return plan.Normalized()
 }
 
 // buildAvailability merges the per-shard repair counters and the session

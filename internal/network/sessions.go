@@ -3,31 +3,17 @@ package network
 import (
 	"fmt"
 
-	"deadlineqos/internal/faults"
 	"deadlineqos/internal/hostif"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/session"
-	"deadlineqos/internal/sim"
-	"deadlineqos/internal/units"
 	"deadlineqos/internal/xrand"
 )
 
-// cacHooks is the fault-plan surface shared by the root Manager and the
-// pod Delegates: every CAC endpoint sees every topological event on its
-// own shard so its ledger tracks the fabric.
-type cacHooks interface {
-	OnLinkDerated(sw, port int, scale float64)
-	OnSwitchDown(sw int, downAt units.Time)
-	OnSwitchUp(sw int)
-	OnPortDown(sw, port int, downAt units.Time)
-	OnPortUp(sw, port int)
-}
-
 // provisionSessions wires the dynamic session subsystem (no-op unless
 // cfg.Sessions is set): signalling flows between every client host and the
-// manager, the centralised CAC endpoint on the manager's shard, one
-// session client per remaining host, and the fault-plan coupling that
-// revokes reservations stranded by a link derate.
+// manager, the centralised CAC endpoint on the manager's shard, and one
+// session client per remaining host. The fault replay (replay.go) later
+// feeds every CAC endpoint the plan's derates and switch and port events.
 //
 // With scfg.Delegation, each pod (the hosts of one leaf switch) also gets
 // a primary and, where the pod is large enough, a standby delegate CAC
@@ -152,6 +138,10 @@ func (n *Network) provisionSessions(rng *xrand.Rand) error {
 	})
 	n.sessMgr = m
 	n.hosts[mgr].SetCtlHandler(m.HandleCtl)
+	n.cacs = append(n.cacs, shardCAC{n.hostShard[mgr], m})
+	for _, d := range delegates {
+		n.cacs = append(n.cacs, shardCAC{n.hostShard[d.HostID()], d})
+	}
 	if scfg.Delegation {
 		// Initial capacity leases ride the signalling flows from t=0.
 		mgrShard.eng.At(0, m.Bootstrap)
@@ -195,55 +185,6 @@ func (n *Network) provisionSessions(rng *xrand.Rand) error {
 		}
 		n.sessClients = append(n.sessClients, cl)
 		n.sources = append(n.sources, cl)
-	}
-
-	// Fault-plan derates and topological events feed every CAC: RevokeDelay
-	// after each capacity change a CAC revokes whatever reservations the
-	// link can no longer carry, and after each switch/port failure it
-	// repairs (reroute-or-revoke) the sessions the failure strands; the
-	// root additionally runs delegate failover. The plan is static, so this
-	// schedule — installed on each CAC's own shard before any runtime
-	// event — is identical at any shard count. Scale-1 (restore) and up
-	// events pass through to the ledgers and revoke nothing.
-	if plan := n.cfg.Faults; !plan.Empty() {
-		scheds := []struct {
-			eng *sim.Engine
-			cac cacHooks
-		}{{mgrShard.eng, m}}
-		for _, d := range delegates {
-			scheds = append(scheds, struct {
-				eng *sim.Engine
-				cac cacHooks
-			}{n.shards[n.hostShard[d.HostID()]].eng, d})
-		}
-		for _, ev := range plan.Normalized() {
-			ev := ev
-			for _, cs := range scheds {
-				cac := cs.cac
-				switch ev.Kind {
-				case faults.Derate:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
-						cac.OnLinkDerated(ev.Link.Switch, ev.Link.Port, ev.Scale)
-					})
-				case faults.SwitchDown:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
-						cac.OnSwitchDown(ev.Link.Switch, ev.At)
-					})
-				case faults.SwitchUp:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
-						cac.OnSwitchUp(ev.Link.Switch)
-					})
-				case faults.PortDown:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
-						cac.OnPortDown(ev.Link.Switch, ev.Link.Port, ev.At)
-					})
-				case faults.PortUp:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
-						cac.OnPortUp(ev.Link.Switch, ev.Link.Port)
-					})
-				}
-			}
-		}
 	}
 	return nil
 }

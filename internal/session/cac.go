@@ -112,9 +112,9 @@ type cac struct {
 	byHandle map[admission.FlowHandle]uint64
 	queue    *ctlQueue
 
-	// Per-entity cumulative counters for the telemetry probe rows (the
-	// shard Counters mix all entities of a shard together, which would
-	// vary with the shard layout).
+	// This endpoint's cumulative setup decisions. The telemetry probe
+	// rows read them per endpoint, the metrics plane per shard and
+	// BuildResults summed over all endpoints.
 	accepted, rejected, revoked, shed uint64
 
 	// Reserved-bandwidth integral over [warmUp, horizon]: cur is the sum
@@ -198,7 +198,6 @@ func (c *cac) setup(m *Msg, serve func(*Msg)) {
 		return
 	}
 	if hint, ok := c.queue.enqueue(func() { serve(m) }); !ok {
-		c.cnt.Shed++
 		c.shed++
 		c.reply(m.Src, &Msg{Op: OpReject, Session: m.Session, Attempt: m.Attempt, RetryAfter: hint})
 	}
@@ -225,7 +224,6 @@ func (c *cac) admit(m *Msg, route []int, h admission.FlowHandle) {
 		c.hold(m.Session, s, h)
 	}
 	c.sessions[m.Session] = s
-	c.cnt.Accepted++
 	c.accepted++
 	c.sync(m.Session)
 	c.reply(m.Src, &Msg{Op: OpGrant, Session: m.Session, Route: route, Local: c.local})
@@ -288,8 +286,8 @@ func (c *cac) syncRelease(id uint64) {
 // new limit. Victims are the most recently admitted sessions on the link
 // (static provisioned flows are never revoked); each is re-admitted over
 // surviving paths when possible, otherwise its client is told to continue
-// best effort. The network schedules this on the CAC's shard RevokeDelay
-// after the fault event.
+// best effort. The network schedules this on the CAC's shard one
+// management delay after the fault event.
 func (c *cac) OnLinkDerated(sw, port int, scale float64) {
 	c.adm.DerateLink(sw, port, scale)
 	if scale >= 1 || !c.active {
@@ -318,7 +316,6 @@ func (c *cac) OnLinkDerated(sw, port int, scale float64) {
 func (c *cac) readmit(id uint64) (*grant, bool) {
 	s := c.sessions[id]
 	c.drop(s)
-	c.cnt.Revoked++
 	c.revoked++
 	route, h, err := c.adm.Reserve(s.src, s.dst, s.bw)
 	if err != nil {

@@ -22,13 +22,11 @@ type Counters struct {
 	Finished      uint64 // sessions that reached the end of their hold time
 	TeardownsSent uint64 // Teardown messages emitted
 
-	// Manager (CAC) side.
-	Accepted         uint64 // Setups granted
-	Rejected         uint64 // Setups rejected (no capacity)
+	// CAC side. Each endpoint counts its own accepted, rejected, revoked
+	// and shed setups; the Manager's BuildResults sums them.
 	DupSetups        uint64 // duplicate Setups re-granted idempotently
 	Released         uint64 // Teardowns that released a reservation record
 	StaleTeardowns   uint64 // Teardowns for unknown (already-revoked) sessions
-	Revoked          uint64 // reservations revoked after a link derate
 	Rerouted         uint64 // revoked reservations re-admitted on another path
 	RevokeDowngrades uint64 // revoked reservations with no surviving path
 
@@ -39,11 +37,9 @@ type Counters struct {
 	SwitchDowngraded  uint64 // stranded reservations downgraded to best effort
 	SwitchUnreachable uint64 // stranded sessions whose host pair is partitioned
 
-	// Delegated control plane (all zero in centralised runs, except Shed,
-	// which a bounded root control queue also produces).
+	// Delegated control plane (all zero in centralised runs).
 	LocalGrants     uint64 // setups admitted by a pod delegate within its lease
 	Escalated       uint64 // setups a delegate forwarded to the root
-	Shed            uint64 // setups shed by a saturated control queue
 	Retargets       uint64 // clients redirected to a new CAC target
 	LeaseGrants     uint64 // lease grants and growths the root issued
 	LeaseRequests   uint64 // lease growth requests delegates sent
@@ -98,12 +94,9 @@ func (c *Counters) Merge(other *Counters) {
 	c.Downgraded += other.Downgraded
 	c.Finished += other.Finished
 	c.TeardownsSent += other.TeardownsSent
-	c.Accepted += other.Accepted
-	c.Rejected += other.Rejected
 	c.DupSetups += other.DupSetups
 	c.Released += other.Released
 	c.StaleTeardowns += other.StaleTeardowns
-	c.Revoked += other.Revoked
 	c.Rerouted += other.Rerouted
 	c.RevokeDowngrades += other.RevokeDowngrades
 	c.SwitchRevoked += other.SwitchRevoked
@@ -112,7 +105,6 @@ func (c *Counters) Merge(other *Counters) {
 	c.SwitchUnreachable += other.SwitchUnreachable
 	c.LocalGrants += other.LocalGrants
 	c.Escalated += other.Escalated
-	c.Shed += other.Shed
 	c.Retargets += other.Retargets
 	c.LeaseGrants += other.LeaseGrants
 	c.LeaseRequests += other.LeaseRequests

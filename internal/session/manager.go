@@ -187,7 +187,6 @@ func (m *Manager) handleSetup(msg *Msg) {
 	}
 	route, h, err := m.adm.Reserve(msg.Src, msg.Dst, msg.BW)
 	if err != nil {
-		m.cnt.Rejected++
 		m.rejected++
 		m.reply(msg.Src, &Msg{Op: OpReject, Session: msg.Session, Attempt: msg.Attempt})
 		return
@@ -197,7 +196,7 @@ func (m *Manager) handleSetup(msg *Msg) {
 
 // OnSwitchDown repairs the sessions a dead switch strands, then runs
 // delegate failover. The network schedules this on the manager shard's
-// engine RevokeDelay after the fault, mirroring OnLinkDerated.
+// engine one management delay after the fault, like OnLinkDerated.
 func (m *Manager) OnSwitchDown(sw int, downAt units.Time) {
 	m.cac.OnSwitchDown(sw, downAt)
 	m.checkDelegates(downAt)
@@ -254,25 +253,31 @@ func (m *Manager) checkDelegates(downAt units.Time) {
 // BuildResults finalises the reserved-bandwidth integral and summarises
 // the merged counters into the run's session Results.
 func (m *Manager) BuildResults(cnt *Counters) *Results {
-	// Fold the delegate CACs' reserved-bandwidth integrals and horizon
-	// state into the run totals, in the fixed delegates order (primary
-	// before standby, pods ascending) so the float sums are deterministic.
+	// Fold the delegate CACs' decisions, reserved-bandwidth integrals and
+	// horizon state into the run totals, in the fixed delegates order
+	// (primary before standby, pods ascending) so the float sums are
+	// deterministic.
 	integral := m.finishIntegral()
 	active := len(m.sessions)
 	resvAtStop := m.cur
+	accepted, rejected, revoked, shed := m.accepted, m.rejected, m.revoked, m.shed
 	for _, d := range m.delegates {
 		integral += d.finishIntegral()
 		active += len(d.sessions)
 		resvAtStop += d.cur
+		accepted += d.accepted
+		rejected += d.rejected
+		revoked += d.revoked
+		shed += d.shed
 	}
 	r := &Results{
 		Started: cnt.Started, SetupsSent: cnt.SetupsSent, Retries: cnt.Retries,
 		Timeouts: cnt.Timeouts, Granted: cnt.Granted,
-		Accepted: cnt.Accepted, Rejected: cnt.Rejected,
+		Accepted: accepted, Rejected: rejected,
 		RejectsSeen: cnt.RejectsSeen, Downgraded: cnt.Downgraded,
 		Finished: cnt.Finished, TeardownsSent: cnt.TeardownsSent,
 		Released: cnt.Released, StaleTears: cnt.StaleTeardowns,
-		DupSetups: cnt.DupSetups, Revoked: cnt.Revoked, Rerouted: cnt.Rerouted,
+		DupSetups: cnt.DupSetups, Revoked: revoked, Rerouted: cnt.Rerouted,
 		RevokeDowngrades:  cnt.RevokeDowngrades,
 		SwitchRevoked:     cnt.SwitchRevoked,
 		SwitchRerouted:    cnt.SwitchRerouted,
@@ -292,7 +297,7 @@ func (m *Manager) BuildResults(cnt *Counters) *Results {
 		Delegates: len(m.delegates),
 
 		LocalGrants: cnt.LocalGrants, Escalated: cnt.Escalated,
-		Shed: cnt.Shed, Retargets: cnt.Retargets,
+		Shed: shed, Retargets: cnt.Retargets,
 		LeaseGrants: cnt.LeaseGrants, LeaseRequests: cnt.LeaseRequests,
 		LeaseReturns: cnt.LeaseReturns, LeaseDenied: cnt.LeaseDenied,
 		Promotions: cnt.Promotions, Reclaims: cnt.Reclaims,

@@ -159,10 +159,6 @@ type Config struct {
 	// RespTimeout is how long a client waits for a setup response before
 	// treating the attempt as lost (default 500 µs).
 	RespTimeout units.Time
-	// RevokeDelay models the fabric-management latency between a fault
-	// plan derating a link and the CAC revoking the affected
-	// reservations (default 1 µs).
-	RevokeDelay units.Time
 	// FlashFactor, when > 1, multiplies the arrival rate during the
 	// window [FlashAt, FlashAt+FlashLen) — a flash crowd.
 	FlashFactor float64
@@ -241,9 +237,6 @@ func (c Config) WithDefaults() Config {
 	if c.RespTimeout == 0 {
 		c.RespTimeout = 500 * units.Microsecond
 	}
-	if c.RevokeDelay == 0 {
-		c.RevokeDelay = units.Microsecond
-	}
 	if len(c.Profiles) == 0 {
 		c.Profiles = DefaultProfiles()
 	}
@@ -281,9 +274,6 @@ func (c Config) Validate(hosts int) error {
 	}
 	if c.RetryBackoff <= 0 || c.RespTimeout <= 0 {
 		return fmt.Errorf("session: non-positive backoff %v or timeout %v", c.RetryBackoff, c.RespTimeout)
-	}
-	if c.RevokeDelay < 0 {
-		return fmt.Errorf("session: negative revoke delay %v", c.RevokeDelay)
 	}
 	if c.FlashFactor != 0 && c.FlashFactor < 1 {
 		return fmt.Errorf("session: flash factor %v must be 0 (off) or >= 1", c.FlashFactor)
