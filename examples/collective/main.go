@@ -4,13 +4,11 @@
 //
 // Every host sends a chunk around the ring for N-1 rounds, each round
 // gated on receiving the previous one — so one slow message anywhere
-// stalls the whole application. The deadline-based architectures keep the
+// stalls the whole application. The rounds run as the coflow workload
+// (Config.Coflows): admitted through the CAC with a per-round deadline and
+// carried as regulated traffic. The deadline-based architectures keep the
 // collective fast under full interference; the traditional switch lets
 // multimedia queued in the same VC stall it.
-//
-// This is also the reference example of driving custom workloads through
-// the library: registering extra flows, submitting from delivery
-// callbacks, and observing through Config.Trace.
 //
 //	go run ./examples/collective
 package main
@@ -21,57 +19,51 @@ import (
 
 	"deadlineqos"
 	"deadlineqos/internal/arch"
-	"deadlineqos/internal/collective"
-	"deadlineqos/internal/network"
 	"deadlineqos/internal/report"
 )
 
 func main() {
 	t := report.NewTable("ring collective (16 hosts, 8KB chunks, 15 rounds) under full load",
-		"architecture", "completion", "vs idle")
+		"architecture", "completion", "deadline met", "vs idle")
 
 	// Idle-network baseline for reference.
 	idle := runOnce(deadlineqos.Advanced2VC, 0)
-	if !idle.Done() {
+	if !idle.AllDone {
 		log.Fatal("baseline collective incomplete")
 	}
 
 	for _, a := range arch.All() {
-		r := runOnce(a, 1.0)
+		c := runOnce(a, 1.0)
 		completion := "incomplete"
 		ratio := "-"
-		if r.Done() {
-			completion = r.CompletionTime().String()
-			ratio = fmt.Sprintf("%.1fx", float64(r.CompletionTime())/float64(idle.CompletionTime()))
+		if c.AllDone {
+			completion = c.CompletionTime.String()
+			ratio = fmt.Sprintf("%.1fx", float64(c.CompletionTime)/float64(idle.CompletionTime))
 		}
-		t.Add(a.String(), completion, ratio)
+		t.Add(a.String(), completion, fmt.Sprintf("%d/%d", c.DeadlineMet, c.Coflows), ratio)
 	}
 	fmt.Println(t)
-	fmt.Printf("idle-network baseline: %v\n\n", idle.CompletionTime())
+	fmt.Printf("idle-network baseline: %v\n\n", idle.CompletionTime)
 	fmt.Println("Deadline scheduling keeps the parallel application's critical path")
-	fmt.Println("near the idle-network floor while video and bulk transfers saturate")
-	fmt.Println("every link — the single-network cluster the paper argues for.")
+	fmt.Println("within a small factor of the idle-network floor, every round on")
+	fmt.Println("time, while video and bulk transfers saturate every link — the")
+	fmt.Println("single-network cluster the paper argues for.")
 }
 
 // runOnce executes one collective under the given architecture and load.
-func runOnce(a deadlineqos.Arch, load float64) *collective.Runner {
+func runOnce(a deadlineqos.Arch, load float64) *deadlineqos.CoflowResults {
 	cfg := deadlineqos.SmallConfig()
 	cfg.Arch = a
 	cfg.Load = load
 	cfg.ClassShare = [deadlineqos.NumClasses]float64{0, 0.25, 0.375, 0.375}
 	cfg.WarmUp = 0
 	cfg.Measure = 30 * deadlineqos.Millisecond
-	runner := collective.Attach(&cfg, collective.Config{
-		Chunk: 8 * deadlineqos.Kilobyte, Class: deadlineqos.Control,
-		StartAt: 2 * deadlineqos.Millisecond,
-	})
-	n, err := network.New(cfg)
+	cfg.Coflows = &deadlineqos.CoflowConfig{
+		Chunk: 8 * deadlineqos.Kilobyte, StartAt: 2 * deadlineqos.Millisecond,
+	}
+	res, err := deadlineqos.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := runner.Bind(n); err != nil {
-		log.Fatal(err)
-	}
-	n.Run()
-	return runner
+	return res.Coflows
 }

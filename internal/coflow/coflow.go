@@ -5,11 +5,11 @@
 // deadline, and a round that cannot finish by its deadline is worth more
 // rejected up front than half-delivered late (DCoflow, arXiv 2205.01229).
 //
-// The workload is the ring collective of internal/collective, generalised
-// to run shard-safely: N hosts, Rounds rounds, in round r every host h
-// sends one Chunk to (h+1) mod N, and h may start round r+1 only after
-// receiving round r. Round r is one coflow of N member transfers with
-// deadline StartAt + (r+1)·Target/Rounds.
+// The workload is an MPI-style ring collective: N hosts, Rounds rounds, in
+// round r every host h sends one Chunk to (h+1) mod N, and h may start
+// round r+1 only after receiving round r. Round r is one coflow of N
+// member transfers with deadline StartAt + (r+1)·B, where the per-round
+// budget B is roundBudget chunk serialisation times.
 //
 // At build time the manager runs a DCoflow-style σ-order admission pass
 // over the session CAC's ledger: coflows in deadline order, each admitted
@@ -28,8 +28,7 @@
 // on the destination's shard, and the ring's "receive round r, submit
 // round r+1" rule makes the receiver also the next submitter. No
 // cross-shard mutation exists, so results are byte-identical at any shard
-// count (unlike internal/collective's tracer-based driver, which is
-// restricted to sequential runs).
+// count.
 package coflow
 
 import (
@@ -43,8 +42,7 @@ import (
 )
 
 // Flow-id ranges of the coflow driver, disjoint from the static traffic
-// flows (small integers), internal/collective (1<<30) and the session
-// plane (0x4000_0000 and up).
+// flows (small integers) and the session plane (0x4000_0000 and up).
 const (
 	// AdmittedBase + h is host h's regulated coflow flow.
 	AdmittedBase packet.FlowID = 0x2000_0000
@@ -57,6 +55,11 @@ const (
 	kindRejected = 1
 )
 
+// roundBudget is each round's deadline budget in chunk serialisation
+// times: loose enough to admit everything on an idle fabric, tight enough
+// that deadlines mean something.
+const roundBudget = 8
+
 // Config parameterises the ring-collective coflow workload.
 type Config struct {
 	// Rounds is the number of collective rounds (= coflows). 0 selects
@@ -64,33 +67,17 @@ type Config struct {
 	Rounds int
 	// Chunk is the per-member payload per round (0 selects 16 KB).
 	Chunk units.Size
-	// Target is the completion target for the whole collective; round r's
-	// deadline is StartAt + (r+1)·Target/Rounds. 0 derives a loose default
-	// from the chunk serialisation time.
-	Target units.Time
 	// StartAt is the oracle time round 0 is submitted at every host.
 	StartAt units.Time
-	// Weight is the value density stamped on coflow packets (0 selects 1),
-	// what a value-aware dropping policy weighs rejected rounds by.
-	Weight float64
 }
 
-// WithDefaults fills zero fields for a ring over the given host count and
-// fabric parameters.
-func (c Config) WithDefaults(hosts int, mtu units.Size, linkBW units.Bandwidth) Config {
+// WithDefaults fills zero fields for a ring over the given host count.
+func (c Config) WithDefaults(hosts int) Config {
 	if c.Rounds == 0 {
 		c.Rounds = hosts - 1
 	}
 	if c.Chunk == 0 {
 		c.Chunk = 16 * units.Kilobyte
-	}
-	if c.Weight == 0 {
-		c.Weight = 1
-	}
-	if c.Target == 0 {
-		// Eight chunk times per round: loose enough to admit everything on
-		// an idle fabric, tight enough that deadlines mean something.
-		c.Target = units.Time(c.Rounds) * 8 * linkBW.TxTime(wireBytes(c.Chunk, mtu))
 	}
 	return c
 }
@@ -106,14 +93,8 @@ func (c Config) Validate(hosts int) error {
 	if c.Chunk < 0 {
 		return fmt.Errorf("coflow: negative chunk size %v", c.Chunk)
 	}
-	if c.Target < 0 {
-		return fmt.Errorf("coflow: negative target %v", c.Target)
-	}
 	if c.StartAt < 0 {
 		return fmt.Errorf("coflow: negative start time %v", c.StartAt)
-	}
-	if c.Weight < 0 {
-		return fmt.Errorf("coflow: negative value weight %v", c.Weight)
 	}
 	return nil
 }
@@ -124,13 +105,6 @@ func wireBytes(chunk, mtu units.Size) units.Size {
 	maxPayload := mtu - packet.HeaderSize
 	parts := (chunk + maxPayload - 1) / maxPayload
 	return chunk + parts*packet.HeaderSize
-}
-
-// Host is the slice of the host NIC the manager drives (*hostif.Host
-// satisfies it).
-type Host interface {
-	SubmitMessage(packet.FlowID, units.Size)
-	Flow(packet.FlowID) *hostif.Flow
 }
 
 // Deps are the network-provided dependencies. The manager deliberately
@@ -144,7 +118,7 @@ type Deps struct {
 	Adm  *admission.Controller
 	Topo topology.Topology
 	// Host resolves a host index to its NIC.
-	Host func(int) Host
+	Host func(int) *hostif.Host
 	// CoflowDeadlines mirrors policy.IsCoflowAware: when set, admitted
 	// rounds are stamped with the round's absolute deadline.
 	CoflowDeadlines bool
@@ -168,6 +142,7 @@ type Manager struct {
 	n     int
 	parts int // packets per chunk
 
+	perRound  units.Time      // per-round deadline budget
 	deadlines []units.Time    // per-round completion deadline (oracle time)
 	admitted  []bool          // σ-pass verdict per round
 	admRate   units.Bandwidth // sustained rate reserved per member edge
@@ -185,12 +160,9 @@ type Manager struct {
 // pass against the CAC's current ledger, reserves the admitted volume, and
 // prepares (but does not register) the per-host flow records.
 func New(cfg Config, deps Deps) (*Manager, error) {
-	cfg = cfg.WithDefaults(deps.Hosts, deps.MTU, deps.LinkBW)
+	cfg = cfg.WithDefaults(deps.Hosts)
 	if err := cfg.Validate(deps.Hosts); err != nil {
 		return nil, err
-	}
-	if cfg.Rounds == 0 {
-		return nil, fmt.Errorf("coflow: zero rounds after defaults (hosts %d)", deps.Hosts)
 	}
 	maxPayload := deps.MTU - packet.HeaderSize
 	if maxPayload <= 0 {
@@ -198,19 +170,16 @@ func New(cfg Config, deps Deps) (*Manager, error) {
 	}
 	n := deps.Hosts
 	m := &Manager{
-		cfg:   cfg,
-		deps:  deps,
-		n:     n,
-		parts: int((cfg.Chunk + maxPayload - 1) / maxPayload),
-		host:  make([]hostState, n),
-	}
-	perRound := cfg.Target / units.Time(cfg.Rounds)
-	if perRound <= 0 {
-		return nil, fmt.Errorf("coflow: target %v spread over %d rounds leaves no per-round budget", cfg.Target, cfg.Rounds)
+		cfg:      cfg,
+		deps:     deps,
+		n:        n,
+		parts:    int((cfg.Chunk + maxPayload - 1) / maxPayload),
+		perRound: roundBudget * deps.LinkBW.TxTime(wireBytes(cfg.Chunk, deps.MTU)),
+		host:     make([]hostState, n),
 	}
 	m.deadlines = make([]units.Time, cfg.Rounds)
 	for r := 0; r < cfg.Rounds; r++ {
-		m.deadlines[r] = cfg.StartAt + units.Time(r+1)*perRound
+		m.deadlines[r] = cfg.StartAt + units.Time(r+1)*m.perRound
 	}
 	m.routes = make([][]int, n)
 	for h := 0; h < n; h++ {
@@ -298,14 +267,13 @@ func (m *Manager) sigmaAdmit() {
 
 // buildFlows prepares the two per-host flow records. The admitted flow is
 // regulated (Multimedia class) at the reserved rate; the rejected flow is
-// best-effort. Both carry the configured value density so value-aware
-// dropping sees the collective's worth.
+// best-effort. Both carry value density 1, what a value-aware dropping
+// policy weighs rejected rounds by.
 func (m *Manager) buildFlows() {
 	m.admFlows = make([]*hostif.Flow, m.n)
 	m.rejFlows = make([]*hostif.Flow, m.n)
 	wire := wireBytes(m.cfg.Chunk, m.deps.MTU)
-	perRound := m.cfg.Target / units.Time(m.cfg.Rounds)
-	beRate := units.Bandwidth(float64(wire) / float64(perRound))
+	beRate := units.Bandwidth(float64(wire) / float64(m.perRound))
 	admRate := m.admRate
 	if admRate <= 0 {
 		admRate = beRate // unused unless a round is admitted; keep positive
@@ -318,7 +286,7 @@ func (m *Manager) buildFlows() {
 		m.admFlows[h] = &hostif.Flow{
 			ID: AdmittedBase + packet.FlowID(h), Class: packet.Multimedia,
 			Src: h, Dst: dst, Route: m.routes[h],
-			Mode: hostif.ByBandwidth, BW: admRate, Value: m.cfg.Weight,
+			Mode: hostif.ByBandwidth, BW: admRate, Value: 1,
 			Policed: true,
 		}
 		if m.deps.CoflowDeadlines {
@@ -327,7 +295,7 @@ func (m *Manager) buildFlows() {
 		m.rejFlows[h] = &hostif.Flow{
 			ID: RejectedBase + packet.FlowID(h), Class: packet.BestEffort,
 			Src: h, Dst: dst, Route: m.routes[h],
-			Mode: hostif.ByBandwidth, BW: beRate, Value: m.cfg.Weight,
+			Mode: hostif.ByBandwidth, BW: beRate, Value: 1,
 		}
 	}
 }

@@ -31,7 +31,7 @@ func testDeps(t *testing.T) Deps {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{Rounds: 4, Chunk: 8 * units.Kilobyte, Target: units.Millisecond, Weight: 1}
+	good := Config{Rounds: 4, Chunk: 8 * units.Kilobyte}
 	cases := []struct {
 		name  string
 		hosts int
@@ -41,11 +41,10 @@ func TestConfigValidate(t *testing.T) {
 		{"valid", 16, func(*Config) {}, ""},
 		{"two hosts", 2, func(*Config) {}, ""},
 		{"one host", 1, func(*Config) {}, "at least 2 hosts"},
+		{"zero hosts", 0, func(*Config) {}, "at least 2 hosts"},
 		{"negative rounds", 16, func(c *Config) { c.Rounds = -2 }, "negative rounds"},
 		{"negative chunk", 16, func(c *Config) { c.Chunk = -1 }, "negative chunk"},
-		{"negative target", 16, func(c *Config) { c.Target = -1 }, "negative target"},
 		{"negative start", 16, func(c *Config) { c.StartAt = -1 }, "negative start"},
-		{"negative weight", 16, func(c *Config) { c.Weight = -0.5 }, "negative value weight"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,22 +65,16 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults(16, 2*units.Kilobyte, 1.0)
+	c := Config{}.WithDefaults(16)
 	if c.Rounds != 15 {
 		t.Errorf("default rounds %d, want hosts-1", c.Rounds)
 	}
 	if c.Chunk != 16*units.Kilobyte {
 		t.Errorf("default chunk %v", c.Chunk)
 	}
-	if c.Weight != 1 {
-		t.Errorf("default weight %v", c.Weight)
-	}
-	if c.Target <= 0 {
-		t.Errorf("default target %v", c.Target)
-	}
 	// Explicit fields survive.
-	c2 := Config{Rounds: 3, Chunk: units.Kilobyte, Target: units.Millisecond, Weight: 2.5}.WithDefaults(16, 2*units.Kilobyte, 1.0)
-	if c2.Rounds != 3 || c2.Chunk != units.Kilobyte || c2.Target != units.Millisecond || c2.Weight != 2.5 {
+	c2 := Config{Rounds: 3, Chunk: units.Kilobyte, StartAt: units.Millisecond}.WithDefaults(16)
+	if c2.Rounds != 3 || c2.Chunk != units.Kilobyte || c2.StartAt != units.Millisecond {
 		t.Errorf("explicit config rewritten: %+v", c2)
 	}
 }
@@ -126,19 +119,27 @@ func TestSigmaAdmitsAllOnIdleFabric(t *testing.T) {
 
 func TestSigmaRejectsAllOnImpossibleTarget(t *testing.T) {
 	deps := testDeps(t)
-	// 8 rounds inside 8 ns: no link can carry a chunk per nanosecond.
-	m, err := New(Config{Rounds: 8, Chunk: 8 * units.Kilobyte, Target: 8}, deps)
+	// Fill every host's injection ledger before the σ pass: no round's
+	// deadline can then be met with the capacity left.
+	full := units.Bandwidth(deps.Adm.MaxUtil()) * deps.LinkBW
+	before := make([]units.Bandwidth, deps.Hosts)
+	for h := 0; h < deps.Hosts; h++ {
+		dst := (h + 1) % deps.Hosts
+		deps.Adm.Restore(h, deps.Adm.RouteBestEffort(h, dst, uint64(h)), full)
+		before[h] = deps.Adm.HostReserved(h)
+	}
+	m, err := New(Config{Rounds: 8, Chunk: 8 * units.Kilobyte}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r, ok := range m.AdmittedRounds() {
 		if ok {
-			t.Fatalf("round %d admitted under an impossible target", r)
+			t.Fatalf("round %d admitted on a full ledger", r)
 		}
 	}
 	for h := 0; h < deps.Hosts; h++ {
-		if got := deps.Adm.HostReserved(h); got != 0 {
-			t.Fatalf("host %d reserved %v despite total rejection", h, got)
+		if got := deps.Adm.HostReserved(h); got != before[h] {
+			t.Fatalf("host %d reserved %v beyond the filled %v despite total rejection", h, got, before[h])
 		}
 	}
 	// Rejected rounds still run, demoted to best-effort.
@@ -152,7 +153,7 @@ func TestFlowRecords(t *testing.T) {
 	for _, aware := range []bool{false, true} {
 		deps := testDeps(t)
 		deps.CoflowDeadlines = aware
-		m, err := New(Config{Rounds: 4, Weight: 2}, deps)
+		m, err := New(Config{Rounds: 4}, deps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +181,8 @@ func TestFlowRecords(t *testing.T) {
 			if rej.Mode != hostif.ByBandwidth {
 				t.Fatalf("rejected flow mode %v", rej.Mode)
 			}
-			if adm.Value != 2 || rej.Value != 2 {
-				t.Fatalf("value densities %v/%v, want the configured weight", adm.Value, rej.Value)
+			if adm.Value != 1 || rej.Value != 1 {
+				t.Fatalf("value densities %v/%v, want 1", adm.Value, rej.Value)
 			}
 			if adm.BW <= 0 || rej.BW <= 0 {
 				t.Fatalf("non-positive flow rates %v/%v", adm.BW, rej.BW)

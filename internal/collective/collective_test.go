@@ -1,86 +1,79 @@
+// Package collective holds the end-to-end tests of the ring collective:
+// the MPI-style ring all-gather that E3 measures, run on a network as the
+// coflow workload of network.Config.Coflows. The workload itself lives in
+// internal/coflow; this directory has no non-test code.
 package collective
 
 import (
+	"strings"
 	"testing"
 
 	"deadlineqos/internal/arch"
+	"deadlineqos/internal/coflow"
 	"deadlineqos/internal/network"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/topology"
 	"deadlineqos/internal/units"
 )
 
-// buildAndRun attaches a collective to a small network and runs it.
-func buildAndRun(t *testing.T, a arch.Arch, load float64, c Config) (*Runner, *network.Results) {
+// run builds a small network carrying the ring collective c and runs it.
+func run(t *testing.T, a arch.Arch, load float64, c coflow.Config) *coflow.Results {
 	t.Helper()
 	cfg := network.SmallConfig()
 	cfg.Arch = a
 	cfg.Load = load
 	// Interference: multimedia shares the regulated VC with the
-	// collective (the Traditional switch's weak spot) and best-effort
-	// fills the rest; the collective itself supplies the
-	// latency-critical traffic.
+	// collective's admitted rounds (the Traditional switch's weak spot)
+	// and best-effort fills the rest.
 	cfg.ClassShare = [packet.NumClasses]float64{0, 0.25, 0.375, 0.375}
 	cfg.WarmUp = 0
 	cfg.Measure = 20 * units.Millisecond
-	r := Attach(&cfg, c)
-	n, err := network.New(cfg)
+	cfg.Coflows = &c
+	res, err := network.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Bind(n); err != nil {
-		t.Fatal(err)
-	}
-	return r, n.Run()
+	return res.Coflows
 }
 
 func TestRingCollectiveCompletes(t *testing.T) {
-	r, _ := buildAndRun(t, arch.Advanced2VC, 0, Config{
-		Chunk: 4 * units.Kilobyte, Class: packet.Control, StartAt: units.Millisecond,
-	})
-	if !r.Done() {
-		t.Fatalf("collective incomplete: min round %d of %d", r.MinRound(), r.cfg.Rounds)
+	r := run(t, arch.Advanced2VC, 0, coflow.Config{Chunk: 4 * units.Kilobyte, StartAt: units.Millisecond})
+	if !r.AllDone {
+		t.Fatalf("collective incomplete: %d of %d rounds", r.Completed, r.Coflows)
 	}
-	if r.CompletionTime() <= 0 {
-		t.Fatalf("completion time %v", r.CompletionTime())
+	if r.CompletionTime <= 0 {
+		t.Fatalf("completion time %v", r.CompletionTime)
 	}
 	// 15 rounds of a 3-packet chunk on an idle 16-host network finish in
 	// well under a millisecond.
-	if r.CompletionTime() > units.Millisecond {
-		t.Fatalf("idle-network collective took %v", r.CompletionTime())
+	if r.CompletionTime > units.Millisecond {
+		t.Fatalf("idle-network collective took %v", r.CompletionTime)
 	}
 }
 
 func TestRingSemantics(t *testing.T) {
-	// With Rounds = 3 every host must receive exactly 3 chunks and the
-	// per-flow sequence numbers seen at each destination must be the
-	// chunks' packets in order (ring gating preserved).
+	// With Rounds = 3 every host must receive exactly 3 chunks: the ring's
+	// gating submits a host's next round only after its previous one
+	// arrived.
 	cfg := network.SmallConfig()
 	cfg.Arch = arch.Ideal
 	cfg.Load = 0
 	cfg.WarmUp = 0
 	cfg.Measure = 10 * units.Millisecond
-	col := Config{Chunk: 3000, Rounds: 3, Class: packet.Control, StartAt: 0}
-	r := Attach(&cfg, col)
-	// Count per-destination chunk arrivals through a second chained hook.
-	arrivals := map[int]int{}
-	inner := cfg.Trace.Delivered
-	cfg.Trace.Delivered = func(p *packet.Packet, now units.Time) {
-		inner(p, now)
-		if p.Flow >= FlowBase {
+	cfg.Coflows = &coflow.Config{Chunk: 3000, Rounds: 3}
+	hosts := cfg.Topology.Hosts()
+	arrivals := make([]int, hosts)
+	cfg.Trace.Delivered = func(p *packet.Packet, _ units.Time) {
+		if p.Flow >= coflow.AdmittedBase && p.Flow < coflow.RejectedBase+packet.FlowID(hosts) {
 			arrivals[p.Dst]++
 		}
 	}
-	n, err := network.New(cfg)
+	res, err := network.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Bind(n); err != nil {
-		t.Fatal(err)
-	}
-	n.Run()
-	if !r.Done() {
-		t.Fatalf("3-round collective incomplete (min round %d)", r.MinRound())
+	if !res.Coflows.AllDone {
+		t.Fatalf("3-round collective incomplete: %d rounds completed", res.Coflows.Completed)
 	}
 	// 3000-byte chunk at 2KB MTU = 2 packets per chunk, 3 rounds.
 	for h, got := range arrivals {
@@ -88,81 +81,93 @@ func TestRingSemantics(t *testing.T) {
 			t.Fatalf("host %d received %d collective packets, want 6", h, got)
 		}
 	}
-	if len(arrivals) != n.Hosts() {
-		t.Fatalf("only %d hosts participated", len(arrivals))
-	}
 }
 
 func TestCollectiveProtectedByEDF(t *testing.T) {
 	// Under heavy best-effort interference the EDF architecture must
 	// complete the collective far faster than the deadline-blind
 	// Traditional switch — the paper's parallel-application motivation.
-	col := Config{Chunk: 8 * units.Kilobyte, Class: packet.Control, StartAt: 2 * units.Millisecond}
-	rAdv, _ := buildAndRun(t, arch.Advanced2VC, 1.0, col)
-	rTrad, _ := buildAndRun(t, arch.Traditional2VC, 1.0, col)
-	if !rAdv.Done() {
-		t.Fatalf("EDF collective incomplete under interference (min round %d)", rAdv.MinRound())
+	col := coflow.Config{Chunk: 8 * units.Kilobyte, StartAt: 2 * units.Millisecond}
+	adv := run(t, arch.Advanced2VC, 1.0, col)
+	trad := run(t, arch.Traditional2VC, 1.0, col)
+	if !adv.AllDone {
+		t.Fatalf("EDF collective incomplete under interference: %d of %d rounds", adv.Completed, adv.Coflows)
 	}
-	if !rTrad.Done() {
+	if adv.DeadlineMet < trad.DeadlineMet {
+		t.Fatalf("EDF met fewer round deadlines than Traditional: %d vs %d", adv.DeadlineMet, trad.DeadlineMet)
+	}
+	if !trad.AllDone {
 		// Traditional may genuinely fail to finish in the window — that
 		// is itself the result; just require EDF finished.
-		t.Logf("Traditional collective incomplete (min round %d of %d)", rTrad.MinRound(), rTrad.cfg.Rounds)
+		t.Logf("Traditional collective incomplete (%d of %d rounds)", trad.Completed, trad.Coflows)
 		return
 	}
-	t.Logf("completion: advanced=%v traditional=%v", rAdv.CompletionTime(), rTrad.CompletionTime())
-	if rAdv.CompletionTime() >= rTrad.CompletionTime() {
-		t.Fatalf("EDF did not protect the collective: %v vs %v",
-			rAdv.CompletionTime(), rTrad.CompletionTime())
+	t.Logf("completion: advanced=%v traditional=%v", adv.CompletionTime, trad.CompletionTime)
+	if adv.CompletionTime >= trad.CompletionTime {
+		t.Fatalf("EDF did not protect the collective: %v vs %v", adv.CompletionTime, trad.CompletionTime)
 	}
 }
 
+// TestBindValidation checks the wiring of the collective into a network:
+// network.New validates Config.Coflows, and one coflow configuration can
+// be wired into several networks, each with its own ring state.
 func TestBindValidation(t *testing.T) {
 	cfg := network.SmallConfig()
 	cfg.Load = 0
 	cfg.WarmUp = 0
 	cfg.Measure = units.Millisecond
-	r := Attach(&cfg, Config{Chunk: 0})
-	n, err := network.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Coflows = &coflow.Config{Chunk: -1}
+	if _, err := network.New(cfg); err == nil || !strings.Contains(err.Error(), "negative chunk") {
+		t.Errorf("negative chunk: error %v", err)
 	}
-	if err := r.Bind(n); err == nil {
-		t.Error("zero chunk accepted")
+	// A zero chunk selects the default size instead of failing.
+	cfg.Coflows = &coflow.Config{Chunk: 0}
+	if _, err := network.New(cfg); err != nil {
+		t.Errorf("zero chunk: %v", err)
 	}
-	r2 := Attach(&cfg, Config{Chunk: 1000})
-	if err := r2.Bind(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Bind(n); err == nil {
-		t.Error("double Bind accepted")
+	cfg.Coflows = &coflow.Config{Chunk: 1000}
+	var first *coflow.Results
+	for i := 0; i < 2; i++ {
+		res, err := network.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Coflows.AllDone {
+			t.Fatalf("network %d: %d of %d rounds completed", i, res.Coflows.Completed, res.Coflows.Coflows)
+		}
+		if first == nil {
+			first = res.Coflows
+		} else if *res.Coflows != *first {
+			t.Fatalf("second network sharing the configuration differs: %+v vs %+v", *res.Coflows, *first)
+		}
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{Chunk: units.Kilobyte, Class: packet.Control}
+	good := coflow.Config{Chunk: units.Kilobyte}
 	cases := []struct {
 		name  string
 		hosts int
-		mod   func(*Config)
+		mod   func(*coflow.Config)
 		ok    bool
 	}{
-		{"valid", 16, func(*Config) {}, true},
-		{"valid explicit rounds", 16, func(c *Config) { c.Rounds = 3 }, true},
-		{"zero rounds selects default", 16, func(c *Config) { c.Rounds = 0 }, true},
-		{"two hosts minimum ring", 2, func(*Config) {}, true},
-		{"one host", 1, func(*Config) {}, false},
-		{"zero hosts", 0, func(*Config) {}, false},
-		{"negative rounds", 16, func(c *Config) { c.Rounds = -1 }, false},
-		{"zero chunk", 16, func(c *Config) { c.Chunk = 0 }, false},
-		{"negative chunk", 16, func(c *Config) { c.Chunk = -units.Kilobyte }, false},
-		{"class out of range", 16, func(c *Config) { c.Class = packet.NumClasses }, false},
-		{"negative start", 16, func(c *Config) { c.StartAt = -1 }, false},
+		{"valid", 16, func(*coflow.Config) {}, true},
+		{"valid explicit rounds", 16, func(c *coflow.Config) { c.Rounds = 3 }, true},
+		{"zero rounds selects default", 16, func(c *coflow.Config) { c.Rounds = 0 }, true},
+		{"two hosts minimum ring", 2, func(*coflow.Config) {}, true},
+		{"one host", 1, func(*coflow.Config) {}, false},
+		{"zero hosts", 0, func(*coflow.Config) {}, false},
+		{"negative rounds", 16, func(c *coflow.Config) { c.Rounds = -1 }, false},
+		{"zero chunk", 16, func(c *coflow.Config) { c.Chunk = 0 }, true},
+		{"negative chunk", 16, func(c *coflow.Config) { c.Chunk = -units.Kilobyte }, false},
+		{"negative start", 16, func(c *coflow.Config) { c.StartAt = -1 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := good
 			tc.mod(&c)
-			err := c.Validate(tc.hosts)
+			// network.New applies the defaults before validating.
+			err := c.WithDefaults(tc.hosts).Validate(tc.hosts)
 			if tc.ok && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -178,18 +183,14 @@ func TestBindRejectsNegativeRounds(t *testing.T) {
 	cfg.Load = 0
 	cfg.WarmUp = 0
 	cfg.Measure = units.Millisecond
-	r := Attach(&cfg, Config{Chunk: units.Kilobyte, Rounds: -3})
-	n, err := network.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Bind(n); err == nil {
+	cfg.Coflows = &coflow.Config{Chunk: units.Kilobyte, Rounds: -3}
+	if _, err := network.New(cfg); err == nil {
 		t.Fatal("negative rounds accepted")
 	}
 }
 
 func TestCollectiveOnMesh(t *testing.T) {
-	// The driver is topology-agnostic: run the ring over a 2D mesh.
+	// The workload is topology-agnostic: run the ring over a 2D mesh.
 	mesh, err := topology.NewMesh2D(3, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -202,16 +203,12 @@ func TestCollectiveOnMesh(t *testing.T) {
 	cfg.BEDests = 3
 	cfg.WarmUp = 0
 	cfg.Measure = 10 * units.Millisecond
-	r := Attach(&cfg, Config{Chunk: 2 * units.Kilobyte, Class: packet.Control, StartAt: units.Millisecond})
-	n, err := network.New(cfg)
+	cfg.Coflows = &coflow.Config{Chunk: 2 * units.Kilobyte, StartAt: units.Millisecond}
+	res, err := network.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Bind(n); err != nil {
-		t.Fatal(err)
-	}
-	n.Run()
-	if !r.Done() {
-		t.Fatalf("mesh collective incomplete (round %d)", r.MinRound())
+	if cr := res.Coflows; !cr.AllDone || cr.Coflows != mesh.Hosts()-1 {
+		t.Fatalf("mesh collective: %d of %d rounds completed, want all %d", cr.Completed, cr.Coflows, mesh.Hosts()-1)
 	}
 }

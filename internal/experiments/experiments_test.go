@@ -244,21 +244,62 @@ func TestAblationXbarSpeedup(t *testing.T) {
 	}
 }
 
+// TestCollectiveCompletion pins E3's shape: the deadline architectures
+// complete every round by its deadline, while Traditional meets fewer
+// deadlines and finishes at least 3x later than Advanced, or not at all.
+// The rows must be identical on two shards.
 func TestCollectiveCompletion(t *testing.T) {
-	o := tinyOpt()
-	o.Archs = []arch.Arch{arch.Traditional2VC, arch.Advanced2VC}
-	tb, err := CollectiveCompletion(o)
+	tb, err := CollectiveCompletion(tinyOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
+	sharded, err := CollectiveCompletion(tinyOpt().WithShards(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range tb.Rows {
-		if row[1] == "" {
-			t.Fatalf("empty completion cell: %v", row)
+	if sharded.String() != tb.String() {
+		t.Fatalf("2-shard rows differ from the sequential run:\n%s\nsequential:\n%s", sharded, tb)
+	}
+	byArch := map[arch.Arch][]string{}
+	for i, a := range tinyOpt().Archs {
+		byArch[a] = tb.Rows[i]
+	}
+	var met, rounds int
+	for _, a := range []arch.Arch{arch.Ideal, arch.Advanced2VC} {
+		row := byArch[a]
+		fmt.Sscanf(row[3], "%d/%d", &met, &rounds)
+		all := fmt.Sprintf("%d/%d", rounds, rounds)
+		if rounds == 0 || row[1] == "incomplete" || row[2] != all || row[3] != all {
+			t.Errorf("%v did not complete every round on time: %v\n%s", a, row, tb)
 		}
 	}
+	trad, adv := byArch[arch.Traditional2VC], byArch[arch.Advanced2VC]
+	var tradMet int
+	fmt.Sscanf(trad[3], "%d/%d", &tradMet, &rounds)
+	if tradMet >= rounds {
+		t.Errorf("Traditional met every round deadline:\n%s", tb)
+	}
+	if trad[1] != "incomplete" && completionMicros(t, trad[1]) < 3*completionMicros(t, adv[1]) {
+		t.Errorf("Traditional finished within 3x of Advanced:\n%s", tb)
+	}
+}
+
+// completionMicros parses a completion cell (units.Time rendering, "us" or
+// "ms") back to microseconds.
+func completionMicros(t *testing.T, cell string) float64 {
+	t.Helper()
+	var v float64
+	switch {
+	case strings.HasSuffix(cell, "us"):
+		fmt.Sscanf(cell, "%fus", &v)
+	case strings.HasSuffix(cell, "ms"):
+		fmt.Sscanf(cell, "%fms", &v)
+		v *= 1000
+	}
+	if v <= 0 {
+		t.Fatalf("unparsable completion %q", cell)
+	}
+	return v
 }
 
 func TestChurn(t *testing.T) {

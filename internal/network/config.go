@@ -426,7 +426,7 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("network: %w", err)
 	}
 	if cfg.Coflows != nil {
-		ccfg := cfg.Coflows.WithDefaults(cfg.Topology.Hosts(), cfg.MTU, cfg.LinkBW)
+		ccfg := cfg.Coflows.WithDefaults(cfg.Topology.Hosts())
 		if err := ccfg.Validate(cfg.Topology.Hosts()); err != nil {
 			return fmt.Errorf("network: %w", err)
 		}

@@ -1175,7 +1175,7 @@ func (n *Network) provisionCoflows() error {
 		LinkBW:          n.cfg.LinkBW,
 		Adm:             n.adm,
 		Topo:            n.topo,
-		Host:            func(h int) coflow.Host { return n.hosts[h] },
+		Host:            func(h int) *hostif.Host { return n.hosts[h] },
 		CoflowDeadlines: policy.IsCoflowAware(n.pol),
 	})
 	if err != nil {
@@ -1192,10 +1192,9 @@ func (n *Network) provisionCoflows() error {
 	return nil
 }
 
-// Engine exposes the simulation engine (examples drive custom scenarios
-// through it). In a sharded network this is shard 0's engine; custom
-// drivers that schedule their own events should run sequentially
-// (Shards <= 1), where it is the only engine.
+// Engine exposes the simulation engine. In a sharded network this is
+// shard 0's engine; a caller that schedules its own events should run
+// sequentially (Shards <= 1), where it is the only engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // Shards returns the effective shard count the network was built with.
@@ -1203,10 +1202,6 @@ func (n *Network) Shards() int { return n.nshards }
 
 // Hosts returns the number of endpoints.
 func (n *Network) Hosts() int { return n.topo.Hosts() }
-
-// ConfigValue returns a copy of the configuration the network was built
-// from (custom drivers need the MTU, link bandwidth, and window).
-func (n *Network) ConfigValue() Config { return n.cfg }
 
 // Host returns host h's NIC.
 func (n *Network) Host(h int) *hostif.Host { return n.hosts[h] }
