@@ -27,7 +27,6 @@ import (
 
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/experiments"
-	"deadlineqos/internal/harness"
 	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/network"
 	"deadlineqos/internal/packet"
@@ -152,11 +151,12 @@ func BenchmarkTable1Mix(b *testing.B) {
 func BenchmarkFig2ControlLatency(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		lat, _, _, err := experiments.Fig2(opt)
+		f, err := experiments.AllFigures(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
+			lat := f.Fig2Latency
 			b.Logf("\n%s", lat)
 			last := lat.Rows[len(lat.Rows)-1] // full load row
 			b.ReportMetric(parseF(last[1]), "trad-us")
@@ -170,13 +170,13 @@ func BenchmarkFig2ControlLatency(b *testing.B) {
 func BenchmarkFig2ControlCDF(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		_, cdf, _, err := experiments.Fig2(opt)
+		f, err := experiments.AllFigures(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("\n%s", cdf)
-			for _, row := range cdf.Rows {
+			b.Logf("\n%s", f.Fig2CDF)
+			for _, row := range f.Fig2CDF.Rows {
 				switch row[0] {
 				case arch.Traditional2VC.String():
 					b.ReportMetric(parseF(row[4]), "trad-p99-us")
@@ -194,11 +194,12 @@ func BenchmarkFig2ControlCDF(b *testing.B) {
 func BenchmarkFig3VideoLatency(b *testing.B) {
 	opt := videoOpt()
 	for i := 0; i < b.N; i++ {
-		lat, _, _, err := experiments.Fig3(opt)
+		f, err := experiments.AllFigures(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
+			lat := f.Fig3Latency
 			b.Logf("\n%s", lat)
 			last := lat.Rows[len(lat.Rows)-1]
 			b.ReportMetric(parseF(last[4]), "advanced-frame-ms")
@@ -211,12 +212,12 @@ func BenchmarkFig3VideoLatency(b *testing.B) {
 func BenchmarkFig3VideoCDF(b *testing.B) {
 	opt := videoOpt()
 	for i := 0; i < b.N; i++ {
-		_, cdf, _, err := experiments.Fig3(opt)
+		f, err := experiments.AllFigures(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("\n%s", cdf)
+			b.Logf("\n%s", f.Fig3CDF)
 		}
 	}
 }
@@ -228,11 +229,12 @@ func BenchmarkFig3VideoCDF(b *testing.B) {
 func BenchmarkFig4Throughput(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Fig4(opt)
+		f, err := experiments.AllFigures(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
+			t := f.Fig4Throughput
 			b.Logf("\n%s", t)
 			last := t.Rows[len(t.Rows)-1]
 			// Columns: load, then (BE, BG) per arch in opt.Archs order;
@@ -520,20 +522,6 @@ func BenchmarkBuffers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkHarnessSweepParallel measures the wall-clock benefit of the
-// concurrent sweep runner relative to the serial cost of its runs.
-func BenchmarkHarnessSweepParallel(b *testing.B) {
-	cfg := network.SmallConfig()
-	cfg.WarmUp = 0
-	cfg.Measure = 1 * units.Millisecond
-	for i := 0; i < b.N; i++ {
-		pts := harness.Sweep(cfg, arch.All(), []float64{0.5, 1.0}, 0)
-		if err := harness.FirstErr(pts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

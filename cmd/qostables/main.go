@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,10 +37,45 @@ func main() {
 	}
 }
 
+// tableExps are the single-table experiments in DESIGN.md's index order;
+// they follow Table 1 and the figures.
+var tableExps = []struct {
+	id, name string
+	run      func(experiments.Options) (*report.Table, error)
+}{
+	{"S1", "penalty", experiments.OrderPenalty},
+	{"S2", "band", experiments.VideoBand},
+	{"A1", "eligible", experiments.AblationEligibleTime},
+	{"A2", "buffer", experiments.AblationBufferSize},
+	{"A3", "skew", experiments.AblationClockSkew},
+	{"A4", "hotspot", experiments.HotspotTolerance},
+	{"A5", "vctable", experiments.AblationVCTable},
+	{"A6", "speedup", experiments.AblationXbarSpeedup},
+	{"E1", "jitter", experiments.VideoJitter},
+	{"E2", "manyvcs", experiments.ManyVCs},
+	{"E3", "collective", experiments.CollectiveCompletion},
+	{"E4", "slack", experiments.DeadlineSlack},
+	{"E5", "churn", experiments.Churn},
+	{"E6", "availability", experiments.Availability},
+	{"E7", "survivable", experiments.Survivable},
+	{"E8", "policies", experiments.Policies},
+	{"E9", "protection", experiments.Protection},
+	{"E9b", "gray", experiments.GrayDrain},
+}
+
+// sectionNames lists every name -only accepts, in run order.
+func sectionNames() []string {
+	names := []string{"table1", "figures"}
+	for _, e := range tableExps {
+		names = append(names, e.name)
+	}
+	return names
+}
+
 func run() error {
 	var (
 		scale   = flag.String("scale", "quick", "experiment scale: quick|paper")
-		par     = cli.ParFlag()
+		par     = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
 		shards  = cli.ShardsFlag()
 		seed    = flag.Uint64("seed", 1, "random seed")
 		seeds   = flag.String("seeds", "", "comma-separated seed list: the figures also report Figure 2 mean±std across them")
@@ -49,7 +85,7 @@ func run() error {
 		plots   = flag.Bool("plots", true, "print ASCII plots next to the tables")
 		csvdir  = flag.String("csvdir", "", "also write every table as CSV into this directory")
 		archsF  = flag.String("archs", "", "comma-separated architecture subset (traditional,traditional4,ideal,simple,advanced)")
-		only    = flag.String("only", "", "comma-separated subset: table1,figures,penalty,band,eligible,buffer,skew,hotspot,vctable,speedup,jitter,manyvcs,collective,slack,churn,availability,survivable,policies,protection,gray")
+		only    = flag.String("only", "", "comma-separated subset: "+strings.Join(sectionNames(), ","))
 		polName = cli.PolicyFlag()
 		coflows = cli.CoflowsFlag()
 	)
@@ -111,8 +147,13 @@ func run() error {
 
 	want := map[string]bool{}
 	if *only != "" {
+		names := sectionNames()
 		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
+			name = strings.TrimSpace(name)
+			if !slices.Contains(names, name) {
+				return fmt.Errorf("-only: unknown section %q (valid: %s)", name, strings.Join(names, ","))
+			}
+			want[name] = true
 		}
 	}
 	selected := func(name string) bool { return len(want) == 0 || want[name] }
@@ -168,30 +209,7 @@ func run() error {
 		}
 		show("F2 F3 F4", "figures", start, tables, f.Plots)
 	}
-	type tableExp struct {
-		id, name string
-		run      func(experiments.Options) (*report.Table, error)
-	}
-	for _, exp := range []tableExp{
-		{"S1", "penalty", experiments.OrderPenalty},
-		{"S2", "band", experiments.VideoBand},
-		{"A1", "eligible", experiments.AblationEligibleTime},
-		{"A2", "buffer", experiments.AblationBufferSize},
-		{"A3", "skew", experiments.AblationClockSkew},
-		{"A4", "hotspot", experiments.HotspotTolerance},
-		{"A5", "vctable", experiments.AblationVCTable},
-		{"A6", "speedup", experiments.AblationXbarSpeedup},
-		{"E1", "jitter", experiments.VideoJitter},
-		{"E2", "manyvcs", experiments.ManyVCs},
-		{"E3", "collective", experiments.CollectiveCompletion},
-		{"E4", "slack", experiments.DeadlineSlack},
-		{"E5", "churn", experiments.Churn},
-		{"E6", "availability", experiments.Availability},
-		{"E7", "survivable", experiments.Survivable},
-		{"E8", "policies", experiments.Policies},
-		{"E9", "protection", experiments.Protection},
-		{"E9b", "gray", experiments.GrayDrain},
-	} {
+	for _, exp := range tableExps {
 		if !selected(exp.name) {
 			continue
 		}

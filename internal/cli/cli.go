@@ -15,19 +15,11 @@ import (
 	"deadlineqos/internal/units"
 )
 
-// ParFlag registers the shared -par flag: how many independent
-// simulations a sweep runs concurrently (one goroutine per run). Every
-// CLI that sweeps uses this helper so the knob is spelled identically
-// everywhere.
-func ParFlag() *int {
-	return flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
-}
-
 // ShardsFlag registers the shared -shards flag: how many engine
 // goroutines each single simulation runs across (see
 // network.Config.Shards). Results are byte-identical at every shard
-// count; only wall-clock time changes. Orthogonal to -par, which
-// parallelises across runs.
+// count; only wall-clock time changes. Orthogonal to qostables' -par,
+// which parallelises across runs.
 func ShardsFlag() *int {
 	return flag.Int("shards", 1, "engine shards per simulation (1 = sequential, byte-identical results at any value)")
 }

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) plus the ablations listed in DESIGN.md. Each function
-// maps to one experiment id from DESIGN.md's per-experiment index, runs the
-// required sweep through the harness, and renders the same rows/series the
-// paper reports.
+// maps to one experiment id from DESIGN.md's per-experiment index: it
+// builds the configs of its batch, runs them with runAll, and renders the
+// same rows/series the paper reports from the results in config order.
 //
 // Scale note: Options.Base selects the network size and measurement window.
 // Paper() uses the full 128-endpoint MIN of §4.1; Quick() uses a 16-host
@@ -13,12 +13,13 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/coflow"
 	"deadlineqos/internal/faults"
-	"deadlineqos/internal/harness"
 	"deadlineqos/internal/hostif"
 	"deadlineqos/internal/network"
 	"deadlineqos/internal/packet"
@@ -33,9 +34,11 @@ import (
 
 // Options selects the scale and coverage of an experiment.
 type Options struct {
-	Base        network.Config
-	Archs       []arch.Arch
-	Loads       []float64
+	Base  network.Config
+	Archs []arch.Arch
+	Loads []float64
+	// Parallelism bounds how many simulations of an experiment run at
+	// once; <= 0 selects GOMAXPROCS.
 	Parallelism int
 }
 
@@ -87,7 +90,79 @@ func (o Options) maxLoad() float64 {
 	return m
 }
 
+// fullLoad returns the base config on architecture a at the sweep's
+// highest load: the operating point of Table 1 and the ablations.
+func (o Options) fullLoad(a arch.Arch) network.Config {
+	cfg := o.Base
+	cfg.Arch, cfg.Load = a, o.maxLoad()
+	return cfg
+}
+
+// grid returns base at every architecture x load, architecture-major. The
+// seed, and therefore the offered traffic, is the same across
+// architectures at equal load, which is what makes the paper's
+// cross-architecture comparisons paired.
+func grid(base network.Config, archs []arch.Arch, loads []float64) []network.Config {
+	cfgs := make([]network.Config, 0, len(archs)*len(loads))
+	for _, a := range archs {
+		for _, l := range loads {
+			cfg := base
+			cfg.Arch, cfg.Load = a, l
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
+}
+
+// runAll runs every config on at most o.Parallelism workers (<= 0 selects
+// GOMAXPROCS) and returns the results in config order. Each simulation
+// owns all its state, so the order in which the workers take them changes
+// nothing. A run whose packet conservation does not balance has failed;
+// the error names the lowest failing run.
+func (o Options) runAll(cfgs []network.Config) ([]*network.Results, error) {
+	workers := o.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]*network.Results, len(cfgs))
+	errs := make([]error, len(cfgs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range min(workers, len(cfgs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				res, err := network.Run(cfgs[i])
+				if err == nil {
+					err = res.Conservation.Check()
+				}
+				results[i], errs[i] = res, err
+			}
+		}()
+	}
+	for i := range cfgs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			c := &cfgs[i]
+			return nil, fmt.Errorf("experiments: run %d (%v, load %v, seed %d): %w", i, c.Arch, c.Load, c.Seed, err)
+		}
+	}
+	return results, nil
+}
+
 func loadPct(l float64) string { return fmt.Sprintf("%.0f%%", 100*l) }
+
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
+}
 
 // --- T1: Table 1, the traffic mix ---------------------------------------
 
@@ -95,13 +170,12 @@ func loadPct(l float64) string { return fmt.Sprintf("%.0f%%", 100*l) }
 // The configured parameters are reported next to the measured bandwidth
 // share of each class in a full-load run, validating the 4 x 25% mix.
 func Table1(opt Options) (*report.Table, error) {
-	cfg := opt.Base
-	cfg.Arch = arch.Advanced2VC
-	cfg.Load = opt.maxLoad()
-	res, err := network.Run(cfg)
+	cfg := opt.fullLoad(arch.Advanced2VC)
+	results, err := opt.runAll([]network.Config{cfg})
 	if err != nil {
 		return nil, err
 	}
+	res := results[0]
 	t := report.NewTable("Table 1: traffic injected per host",
 		"Name", "% BW (config)", "% BW (offered)", "Application frame", "Notes")
 	rows := []struct {
@@ -123,102 +197,68 @@ func Table1(opt Options) (*report.Table, error) {
 	return t, nil
 }
 
-// --- F2: Figure 2, Control traffic --------------------------------------
+// --- F2-F4: Figures 2, 3 and 4 ----------------------------------------------
 
-// Fig2 reproduces Figure 2: average latency of Control traffic versus
+// fig2Render builds Figure 2: average latency of Control traffic versus
 // input load for the four architectures (left plot), and the CDF of
 // Control packet latency at the highest load (right plot).
-func Fig2(opt Options) (latency *report.Table, cdf *report.Table, plot *report.Plot, err error) {
-	points := harness.Sweep(opt.Base, opt.Archs, opt.Loads, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
-		return nil, nil, nil, err
-	}
-	latency, cdf, plot = fig2Render(opt, points)
-	return latency, cdf, plot, nil
-}
-
-// fig2Render builds Figure 2's artefacts from an existing sweep.
-func fig2Render(opt Options, points []harness.Point) (latency, cdf *report.Table, plot *report.Plot) {
+func fig2Render(opt Options, results []*network.Results) (latency, cdf *report.Table, plot *report.Plot) {
 	latency = report.NewTable("Figure 2 (left): Control traffic average latency (us) vs input load",
 		append([]string{"load"}, archNames(opt.Archs)...)...)
 	plot = report.NewPlot("Figure 2: Control avg latency vs load", "load", "latency (us)")
-	fillLatencyVsLoad(latency, plot, opt, points, func(r *network.Results) float64 {
+	fillLatencyVsLoad(latency, plot, opt, results, func(r *network.Results) float64 {
 		return units.Time(r.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()
 	})
 	cdf = cdfTable("Figure 2 (right): CDF of Control latency at full load (us)",
-		opt, points, func(r *network.Results) *stats.Histogram {
+		opt, results, func(r *network.Results) *stats.Histogram {
 			return r.PerClass[packet.Control].LatencyHist
 		}, func(t units.Time) float64 { return t.Microseconds() })
 	return latency, cdf, plot
 }
 
-// --- F3: Figure 3, Video traffic -----------------------------------------
-
-// Fig3 reproduces Figure 3: average latency of video frames (full frame
+// fig3Render builds Figure 3: average latency of video frames (full frame
 // transfers, not packets) versus load, and the CDF of frame latency at the
 // highest load. With the §3.1 deadline rule the frame latency should pin
 // near the configured target (10 ms) for the EDF architectures.
-func Fig3(opt Options) (latency *report.Table, cdf *report.Table, plot *report.Plot, err error) {
-	points := harness.Sweep(opt.Base, opt.Archs, opt.Loads, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
-		return nil, nil, nil, err
-	}
-	latency, cdf, plot = fig3Render(opt, points)
-	return latency, cdf, plot, nil
-}
-
-// fig3Render builds Figure 3's artefacts from an existing sweep.
-func fig3Render(opt Options, points []harness.Point) (latency, cdf *report.Table, plot *report.Plot) {
+func fig3Render(opt Options, results []*network.Results) (latency, cdf *report.Table, plot *report.Plot) {
 	latency = report.NewTable("Figure 3 (left): Video frame average latency (ms) vs input load",
 		append([]string{"load"}, archNames(opt.Archs)...)...)
 	plot = report.NewPlot("Figure 3: Video frame avg latency vs load", "load", "latency (ms)")
-	fillLatencyVsLoad(latency, plot, opt, points, func(r *network.Results) float64 {
+	fillLatencyVsLoad(latency, plot, opt, results, func(r *network.Results) float64 {
 		return units.Time(r.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()
 	})
 	cdf = cdfTable("Figure 3 (right): CDF of Video frame latency at full load (ms)",
-		opt, points, func(r *network.Results) *stats.Histogram {
+		opt, results, func(r *network.Results) *stats.Histogram {
 			return r.PerClass[packet.Multimedia].FrameHist
 		}, func(t units.Time) float64 { return t.Milliseconds() })
 	return latency, cdf, plot
 }
 
-// --- F4: Figure 4, best-effort throughput --------------------------------
-
-// Fig4 reproduces Figure 4: delivered throughput of the two best-effort
+// fig4Render builds Figure 4: delivered throughput of the two best-effort
 // classes versus input load. Under the EDF architectures the classes are
 // differentiated by their deadline weights; under Traditional 2 VCs they
 // look identical.
-func Fig4(opt Options) (*report.Table, *report.Plot, error) {
-	points := harness.Sweep(opt.Base, opt.Archs, opt.Loads, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
-		return nil, nil, err
-	}
-	t, plot := fig4Render(opt, points)
-	return t, plot, nil
-}
-
-// fig4Render builds Figure 4's artefacts from an existing sweep.
-func fig4Render(opt Options, points []harness.Point) (*report.Table, *report.Plot) {
+func fig4Render(opt Options, results []*network.Results) (*report.Table, *report.Plot) {
 	header := []string{"load"}
 	for _, a := range opt.Archs {
 		header = append(header, a.String()+" BE", a.String()+" BG")
 	}
 	t := report.NewTable("Figure 4: best-effort classes delivered throughput (% of host link) vs input load", header...)
 	plot := report.NewPlot("Figure 4: best-effort throughput vs load", "load", "throughput (%)")
-	byArch := harness.ByArch(points)
+	n := len(opt.Loads)
 	for li, load := range opt.Loads {
 		row := []any{loadPct(load)}
-		for _, a := range opt.Archs {
-			r := byArch[a][li].Res
+		for ai := range opt.Archs {
+			r := results[ai*n+li]
 			row = append(row, 100*r.Throughput(packet.BestEffort), 100*r.Throughput(packet.Background))
 		}
 		t.AddF(row...)
 	}
-	for _, a := range opt.Archs {
+	for ai, a := range opt.Archs {
 		var beY, bgY []float64
-		for _, p := range byArch[a] {
-			beY = append(beY, 100*p.Res.Throughput(packet.BestEffort))
-			bgY = append(bgY, 100*p.Res.Throughput(packet.Background))
+		for _, r := range results[ai*n : (ai+1)*n] {
+			beY = append(beY, 100*r.Throughput(packet.BestEffort))
+			bgY = append(bgY, 100*r.Throughput(packet.Background))
 		}
 		plot.AddSeries(a.String()+" BE", opt.Loads, beY)
 		plot.AddSeries(a.String()+" BG", opt.Loads, bgY)
@@ -238,15 +278,15 @@ type Figures struct {
 // (architecture x load) sweep — the same simulations feed all three, as in
 // the paper's evaluation, and the sweep cost is paid once.
 func AllFigures(opt Options) (*Figures, error) {
-	points := harness.Sweep(opt.Base, opt.Archs, opt.Loads, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
+	results, err := opt.runAll(grid(opt.Base, opt.Archs, opt.Loads))
+	if err != nil {
 		return nil, err
 	}
 	f := &Figures{}
 	var p2, p3, p4 *report.Plot
-	f.Fig2Latency, f.Fig2CDF, p2 = fig2Render(opt, points)
-	f.Fig3Latency, f.Fig3CDF, p3 = fig3Render(opt, points)
-	f.Fig4Throughput, p4 = fig4Render(opt, points)
+	f.Fig2Latency, f.Fig2CDF, p2 = fig2Render(opt, results)
+	f.Fig3Latency, f.Fig3CDF, p3 = fig3Render(opt, results)
+	f.Fig4Throughput, p4 = fig4Render(opt, results)
 	f.Plots = []*report.Plot{p2, p3, p4}
 	return f, nil
 }
@@ -265,31 +305,25 @@ func OrderPenalty(opt Options) (*report.Table, error) {
 	t := report.NewTable(
 		fmt.Sprintf("Order-error penalty at %s load (Control traffic)", loadPct(opt.maxLoad())),
 		"architecture", "shaping", "avg latency (us)", "vs Ideal", "order errors", "errors/dequeue", "take-overs")
-	for _, shaping := range []bool{true, false} {
-		cfg := opt.Base
-		cfg.TrackOrderErrors = true
-		if !shaping {
-			cfg.EligibleLead = 0
-		}
-		points := harness.Sweep(cfg, archs, []float64{opt.maxLoad()}, opt.Parallelism)
-		if err := harness.FirstErr(points); err != nil {
-			return nil, err
-		}
-		byArch := harness.ByArch(points)
-		ideal := byArch[arch.Ideal][0].Res.PerClass[packet.Control].PacketLatency.Mean()
-		label := "20us"
-		if !shaping {
-			label = "off"
-		}
-		for _, a := range archs {
-			r := byArch[a][0].Res
+	shaped, unshaped := opt.Base, opt.Base
+	shaped.TrackOrderErrors, unshaped.TrackOrderErrors = true, true
+	unshaped.EligibleLead = 0
+	load := []float64{opt.maxLoad()}
+	results, err := opt.runAll(append(grid(shaped, archs, load), grid(unshaped, archs, load)...))
+	if err != nil {
+		return nil, err
+	}
+	for s, label := range []string{"20us", "off"} {
+		block := results[s*len(archs) : (s+1)*len(archs)]
+		ideal := block[0].PerClass[packet.Control].PacketLatency.Mean()
+		for _, r := range block {
 			lat := r.PerClass[packet.Control].PacketLatency.Mean()
 			rate := 0.0
 			deq := r.XbarTransfers + r.LinkSends
 			if deq > 0 {
 				rate = float64(r.OrderErrors) / float64(deq)
 			}
-			t.Add(a.String(), label,
+			t.Add(r.Config.Arch.String(), label,
 				fmt.Sprintf("%.2f", units.Time(lat).Microseconds()),
 				fmt.Sprintf("%+.1f%%", 100*(lat/ideal-1)),
 				fmt.Sprintf("%d", r.OrderErrors),
@@ -306,18 +340,18 @@ func OrderPenalty(opt Options) (*report.Table, error) {
 // rule more than 99% of video frames complete within ~1 ms of the 10 ms
 // target for the EDF architectures.
 func VideoBand(opt Options) (*report.Table, error) {
-	points := harness.Sweep(opt.Base, opt.Archs, []float64{opt.maxLoad()}, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
+	results, err := opt.runAll(grid(opt.Base, opt.Archs, []float64{opt.maxLoad()}))
+	if err != nil {
 		return nil, err
 	}
 	target := opt.Base.VideoTarget
 	t := report.NewTable(
 		fmt.Sprintf("Video frames within latency bands at %s load (target %v)", loadPct(opt.maxLoad()), target),
 		"architecture", "frames", "mean (ms)", "<= target+10%", "<= target+50%")
-	for _, p := range points {
-		h := p.Res.PerClass[packet.Multimedia].FrameHist
-		fl := p.Res.PerClass[packet.Multimedia].FrameLatency
-		t.Add(p.Arch.String(),
+	for _, r := range results {
+		h := r.PerClass[packet.Multimedia].FrameHist
+		fl := r.PerClass[packet.Multimedia].FrameLatency
+		t.Add(r.Config.Arch.String(),
 			fmt.Sprintf("%d", h.Count()),
 			fmt.Sprintf("%.2f", units.Time(fl.Mean()).Milliseconds()),
 			fmt.Sprintf("%.1f%%", 100*h.FractionBelow(target+target/10)),
@@ -336,17 +370,18 @@ func AblationEligibleTime(opt Options) (*report.Table, error) {
 	leads := []units.Time{0, 5 * units.Microsecond, 20 * units.Microsecond, 100 * units.Microsecond}
 	t := report.NewTable("Ablation: eligible-time lead (Advanced 2 VCs, full load)",
 		"lead", "control lat (us)", "video frame lat (ms)", "order errors", "take-overs")
-	for _, lead := range leads {
-		cfg := opt.Base
-		cfg.Arch = arch.Advanced2VC
-		cfg.Load = opt.maxLoad()
-		cfg.EligibleLead = lead
-		cfg.TrackOrderErrors = true
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(lead.String(),
+	cfgs := make([]network.Config, len(leads))
+	for i, lead := range leads {
+		cfgs[i] = opt.fullLoad(arch.Advanced2VC)
+		cfgs[i].EligibleLead = lead
+		cfgs[i].TrackOrderErrors = true
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		t.Add(leads[i].String(),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()),
 			fmt.Sprintf("%d", res.OrderErrors),
@@ -364,20 +399,21 @@ func AblationBufferSize(opt Options) (*report.Table, error) {
 	sizes := []units.Size{4 * units.Kilobyte, 8 * units.Kilobyte, 16 * units.Kilobyte, 32 * units.Kilobyte}
 	t := report.NewTable("Ablation: switch buffer per VC (Advanced 2 VCs, full load)",
 		"buffer/VC", "control lat (us)", "video frame lat (ms)", "total throughput (%)")
-	for _, size := range sizes {
-		cfg := opt.Base
-		cfg.Arch = arch.Advanced2VC
-		cfg.Load = opt.maxLoad()
-		cfg.BufPerVC = size
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
+	cfgs := make([]network.Config, len(sizes))
+	for i, size := range sizes {
+		cfgs[i] = opt.fullLoad(arch.Advanced2VC)
+		cfgs[i].BufPerVC = size
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		var thru float64
 		for cl := packet.Class(0); cl < packet.NumClasses; cl++ {
 			thru += res.Throughput(cl)
 		}
-		t.Add(size.String(),
+		t.Add(sizes[i].String(),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()),
 			fmt.Sprintf("%.1f", 100*thru))
@@ -393,17 +429,18 @@ func AblationClockSkew(opt Options) (*report.Table, error) {
 	skews := []units.Time{0, units.Microsecond, 5 * units.Microsecond, 20 * units.Microsecond}
 	t := report.NewTable("Ablation: node clock skew (Advanced 2 VCs, full load)",
 		"max skew", "control lat (us)", "control p99 (us)", "video frame lat (ms)")
-	for _, skew := range skews {
-		cfg := opt.Base
-		cfg.Arch = arch.Advanced2VC
-		cfg.Load = opt.maxLoad()
-		cfg.ClockSkewMax = skew
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
+	cfgs := make([]network.Config, len(skews))
+	for i, skew := range skews {
+		cfgs[i] = opt.fullLoad(arch.Advanced2VC)
+		cfgs[i].ClockSkewMax = skew
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		ctrl := &res.PerClass[packet.Control]
-		t.Add(skew.String(),
+		t.Add(skews[i].String(),
 			fmt.Sprintf("%.2f", units.Time(ctrl.PacketLatency.Mean()).Microseconds()),
 			fmt.Sprintf("%.2f", ctrl.LatencyHist.Quantile(0.99).Microseconds()),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()))
@@ -421,22 +458,23 @@ func archNames(archs []arch.Arch) []string {
 	return names
 }
 
-// fillLatencyVsLoad renders a load-indexed latency table and plot from a
-// sweep, extracting the metric per results.
+// fillLatencyVsLoad renders a load-indexed latency table and plot from the
+// results of grid(opt.Base, opt.Archs, opt.Loads), extracting the metric
+// per results.
 func fillLatencyVsLoad(t *report.Table, plot *report.Plot, opt Options,
-	points []harness.Point, metric func(*network.Results) float64) {
-	byArch := harness.ByArch(points)
+	results []*network.Results, metric func(*network.Results) float64) {
+	n := len(opt.Loads)
 	for li, load := range opt.Loads {
 		row := []any{loadPct(load)}
-		for _, a := range opt.Archs {
-			row = append(row, metric(byArch[a][li].Res))
+		for ai := range opt.Archs {
+			row = append(row, metric(results[ai*n+li]))
 		}
 		t.AddF(row...)
 	}
-	for _, a := range opt.Archs {
+	for ai, a := range opt.Archs {
 		var y []float64
-		for _, p := range byArch[a] {
-			y = append(y, metric(p.Res))
+		for _, r := range results[ai*n : (ai+1)*n] {
+			y = append(y, metric(r))
 		}
 		plot.AddSeries(a.String(), opt.Loads, y)
 	}
@@ -444,7 +482,7 @@ func fillLatencyVsLoad(t *report.Table, plot *report.Plot, opt Options,
 
 // cdfTable renders per-architecture latency quantiles at the highest load
 // of a sweep.
-func cdfTable(title string, opt Options, points []harness.Point,
+func cdfTable(title string, opt Options, results []*network.Results,
 	hist func(*network.Results) *stats.Histogram, scale func(units.Time) float64) *report.Table {
 	quantiles := []float64{0.50, 0.90, 0.99, 0.999, 1.0}
 	header := []string{"architecture", "samples"}
@@ -453,12 +491,12 @@ func cdfTable(title string, opt Options, points []harness.Point,
 	}
 	t := report.NewTable(title, header...)
 	max := opt.maxLoad()
-	for _, p := range points {
-		if p.Load != max {
+	for _, r := range results {
+		if r.Config.Load != max {
 			continue
 		}
-		h := hist(p.Res)
-		row := []any{p.Arch.String(), fmt.Sprintf("%d", h.Count())}
+		h := hist(r)
+		row := []any{r.Config.Arch.String(), fmt.Sprintf("%d", h.Count())}
 		for _, q := range quantiles {
 			row = append(row, scale(h.Quantile(q)))
 		}
@@ -478,29 +516,24 @@ func cdfTable(title string, opt Options, points []harness.Point,
 func HotspotTolerance(opt Options) (*report.Table, error) {
 	t := report.NewTable("Extension: best-effort hotspot (50% of BE bursts to host 0, full load)",
 		"architecture", "hotspot", "control lat (us)", "video frame lat (ms)", "BE thru (%)", "BG thru (%)")
+	var cfgs []network.Config
 	for _, a := range opt.Archs {
-		for _, hot := range []bool{false, true} {
-			cfg := opt.Base
-			cfg.Arch = a
-			cfg.Load = opt.maxLoad()
-			if hot {
-				cfg.HotspotFraction = 0.5
-				cfg.HotspotHost = 0
-			}
-			res, err := network.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			label := "off"
-			if hot {
-				label = "on"
-			}
-			t.Add(a.String(), label,
-				fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()),
-				fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()),
-				fmt.Sprintf("%.1f", 100*res.Throughput(packet.BestEffort)),
-				fmt.Sprintf("%.1f", 100*res.Throughput(packet.Background)))
-		}
+		cfg := opt.fullLoad(a)
+		hot := cfg
+		hot.HotspotFraction = 0.5
+		hot.HotspotHost = 0
+		cfgs = append(cfgs, cfg, hot)
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		t.Add(res.Config.Arch.String(), onOff(i%2 == 1),
+			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()),
+			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()),
+			fmt.Sprintf("%.1f", 100*res.Throughput(packet.BestEffort)),
+			fmt.Sprintf("%.1f", 100*res.Throughput(packet.Background)))
 	}
 	return t, nil
 }
@@ -513,17 +546,17 @@ func HotspotTolerance(opt Options) (*report.Table, error) {
 // per architecture at full load. The EDF architectures should show
 // dramatically tighter figures than Traditional.
 func VideoJitter(opt Options) (*report.Table, error) {
-	points := harness.Sweep(opt.Base, opt.Archs, []float64{opt.maxLoad()}, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
+	results, err := opt.runAll(grid(opt.Base, opt.Archs, []float64{opt.maxLoad()}))
+	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Extension: video jitter at %s load", loadPct(opt.maxLoad())),
 		"architecture", "packet jitter (us)", "frame lat stddev (ms)", "frame p99-p50 (ms)")
-	for _, p := range points {
-		mm := &p.Res.PerClass[packet.Multimedia]
+	for _, r := range results {
+		mm := &r.PerClass[packet.Multimedia]
 		spread := mm.FrameHist.Quantile(0.99) - mm.FrameHist.Quantile(0.50)
-		t.Add(p.Arch.String(),
+		t.Add(r.Config.Arch.String(),
 			fmt.Sprintf("%.2f", units.Time(mm.Jitter.Mean()).Microseconds()),
 			fmt.Sprintf("%.3f", units.Time(mm.FrameLatency.StdDev()).Milliseconds()),
 			fmt.Sprintf("%.3f", spread.Milliseconds()))
@@ -551,16 +584,17 @@ func AblationVCTable(opt Options) (*report.Table, error) {
 	}
 	t := report.NewTable("Ablation: Traditional VC arbitration table weights (full load)",
 		"table (reg:be)", "control lat (us)", "video frame lat (ms)", "BE thru (%)", "BG thru (%)")
-	for _, tab := range tables {
-		cfg := opt.Base
-		cfg.Arch = arch.Traditional2VC
-		cfg.Load = opt.maxLoad()
-		cfg.VCArbitrationTable = tab.entries
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(tab.name,
+	cfgs := make([]network.Config, len(tables))
+	for i, tab := range tables {
+		cfgs[i] = opt.fullLoad(arch.Traditional2VC)
+		cfgs[i].VCArbitrationTable = tab.entries
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		t.Add(tables[i].name,
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()),
 			fmt.Sprintf("%.1f", 100*res.Throughput(packet.BestEffort)),
@@ -579,20 +613,19 @@ func AblationVCTable(opt Options) (*report.Table, error) {
 // own weighted VC) against the Advanced proposal at full load.
 func ManyVCs(opt Options) (*report.Table, error) {
 	archs := []arch.Arch{arch.Traditional2VC, arch.Traditional4VC, arch.Advanced2VC}
-	points := harness.Sweep(opt.Base, archs, []float64{opt.maxLoad()}, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
+	results, err := opt.runAll(grid(opt.Base, archs, []float64{opt.maxLoad()}))
+	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Extension: buying QoS with VCs vs deadlines (%s load)", loadPct(opt.maxLoad())),
 		"architecture", "VC buffers/port", "control lat (us)", "control p99 (us)",
 		"video frame lat (ms)", "frame stddev (ms)", "BE thru (%)", "BG thru (%)")
-	for _, p := range points {
-		r := p.Res
+	for _, r := range results {
 		ctrl := &r.PerClass[packet.Control]
 		mm := &r.PerClass[packet.Multimedia]
-		t.Add(p.Arch.String(),
-			fmt.Sprintf("%d", p.Arch.VCs()),
+		t.Add(r.Config.Arch.String(),
+			fmt.Sprintf("%d", r.Config.Arch.VCs()),
 			fmt.Sprintf("%.2f", units.Time(ctrl.PacketLatency.Mean()).Microseconds()),
 			fmt.Sprintf("%.2f", ctrl.LatencyHist.Quantile(0.99).Microseconds()),
 			fmt.Sprintf("%.2f", units.Time(mm.FrameLatency.Mean()).Milliseconds()),
@@ -611,25 +644,29 @@ func ManyVCs(opt Options) (*report.Table, error) {
 // same seeds, and therefore the same offered traffic, across
 // architectures) matches the paper's methodology.
 func Fig2Confidence(opt Options, seeds []uint64) (*report.Table, error) {
-	points := harness.Replicate(opt.Base, opt.Archs, opt.Loads, seeds, opt.Parallelism)
+	var cfgs []network.Config
+	for _, cfg := range grid(opt.Base, opt.Archs, opt.Loads) {
+		for _, seed := range seeds {
+			cfg.Seed = seed
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable(
 		fmt.Sprintf("Figure 2 with %d seeds: Control latency mean±std (us)", len(seeds)),
 		append([]string{"load"}, archNames(opt.Archs)...)...)
-	metric := func(r *network.Results) float64 {
-		return units.Time(r.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()
-	}
-	byArch := map[arch.Arch][]harness.ReplicatedPoint{}
-	for _, p := range points {
-		if p.Err != nil {
-			return nil, p.Err
-		}
-		byArch[p.Arch] = append(byArch[p.Arch], p)
-	}
 	for li, load := range opt.Loads {
 		row := []string{loadPct(load)}
-		for _, a := range opt.Archs {
-			mean, std := byArch[a][li].MeanStd(metric)
-			row = append(row, fmt.Sprintf("%.2f±%.2f", mean, std))
+		for ai := range opt.Archs {
+			cell := (ai*len(opt.Loads) + li) * len(seeds)
+			var lat stats.Series
+			for _, r := range results[cell : cell+len(seeds)] {
+				lat.Add(units.Time(r.PerClass[packet.Control].PacketLatency.Mean()).Microseconds())
+			}
+			row = append(row, fmt.Sprintf("%.2f±%.2f", lat.Mean(), lat.StdDev()))
 		}
 		t.Add(row...)
 	}
@@ -647,20 +684,21 @@ func AblationXbarSpeedup(opt Options) (*report.Table, error) {
 	speedups := []float64{1.0, 1.5, 2.0}
 	t := report.NewTable("Ablation: crossbar speedup (Advanced 2 VCs, full load)",
 		"speedup", "control lat (us)", "video frame lat (ms)", "total throughput (%)")
-	for _, sp := range speedups {
-		cfg := opt.Base
-		cfg.Arch = arch.Advanced2VC
-		cfg.Load = opt.maxLoad()
-		cfg.XbarBW = units.Bandwidth(sp * float64(cfg.LinkBW))
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
+	cfgs := make([]network.Config, len(speedups))
+	for i, sp := range speedups {
+		cfgs[i] = opt.fullLoad(arch.Advanced2VC)
+		cfgs[i].XbarBW = units.Bandwidth(sp * float64(cfgs[i].LinkBW))
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		var thru float64
 		for cl := packet.Class(0); cl < packet.NumClasses; cl++ {
 			thru += res.Throughput(cl)
 		}
-		t.Add(fmt.Sprintf("%.1fx", sp),
+		t.Add(fmt.Sprintf("%.1fx", speedups[i]),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Control].PacketLatency.Mean()).Microseconds()),
 			fmt.Sprintf("%.2f", units.Time(res.PerClass[packet.Multimedia].FrameLatency.Mean()).Milliseconds()),
 			fmt.Sprintf("%.1f", 100*thru))
@@ -684,20 +722,20 @@ func CollectiveCompletion(opt Options) (*report.Table, error) {
 	// regulated VC with multimedia, and best-effort fills the rest.
 	base.ClassShare = [packet.NumClasses]float64{0, 0.25, 0.375, 0.375}
 	base.Coflows = &coflow.Config{Chunk: 8 * units.Kilobyte, StartAt: base.WarmUp}
-	points := harness.Sweep(base, opt.Archs, []float64{opt.maxLoad()}, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
+	results, err := opt.runAll(grid(base, opt.Archs, []float64{opt.maxLoad()}))
+	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Extension: ring-collective completion under %s interference", loadPct(opt.maxLoad())),
 		"architecture", "completion", "rounds completed", "deadline met")
-	for _, p := range points {
-		c := p.Res.Coflows
+	for _, r := range results {
+		c := r.Coflows
 		completion := "incomplete"
 		if c.AllDone {
 			completion = c.CompletionTime.String()
 		}
-		t.Add(p.Arch.String(), completion,
+		t.Add(r.Config.Arch.String(), completion,
 			fmt.Sprintf("%d/%d", c.Completed, c.Coflows),
 			fmt.Sprintf("%d/%d", c.DeadlineMet, c.Coflows))
 	}
@@ -714,22 +752,22 @@ func CollectiveCompletion(opt Options) (*report.Table, error) {
 // percentile of packets came to (or went past) its deadline. An
 // observability extension; the paper only reports latency.
 func DeadlineSlack(opt Options) (*report.Table, error) {
-	points := harness.Sweep(opt.Base, opt.Archs, []float64{opt.maxLoad()}, opt.Parallelism)
-	if err := harness.FirstErr(points); err != nil {
+	results, err := opt.runAll(grid(opt.Base, opt.Archs, []float64{opt.maxLoad()}))
+	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Extension: delivered deadline slack at %s load (us; negative = late)", loadPct(opt.maxLoad())),
 		"architecture", "class", "slack avg", "slack p1", "slack p5", "slack p50", "miss %")
-	for _, p := range points {
+	for _, r := range results {
 		for _, cl := range []packet.Class{packet.Control, packet.Multimedia} {
-			cs := &p.Res.PerClass[cl]
-			t.Add(p.Arch.String(), cl.String(),
+			cs := &r.PerClass[cl]
+			t.Add(r.Config.Arch.String(), cl.String(),
 				fmt.Sprintf("%.2f", units.Time(cs.Slack.Mean()).Microseconds()),
 				fmt.Sprintf("%.2f", cs.SlackHist.Quantile(0.01).Microseconds()),
 				fmt.Sprintf("%.2f", cs.SlackHist.Quantile(0.05).Microseconds()),
 				fmt.Sprintf("%.2f", cs.SlackHist.Quantile(0.50).Microseconds()),
-				fmt.Sprintf("%.2f", 100*p.Res.MissRate(cl)))
+				fmt.Sprintf("%.2f", 100*r.MissRate(cl)))
 		}
 	}
 	return t, nil
@@ -776,39 +814,33 @@ func Chaos(opt Options) (*report.Table, error) {
 		"Robustness: fault injection at 80% load (flaps + derates + 1e-6 BER, end-to-end retransmission)",
 		"architecture", "faults", "control p99 (us)", "video frame p99 (ms)",
 		"frames <= target+50%", "lost", "corrupt", "retx", "demoted")
+	var cfgs []network.Config
 	for _, a := range opt.Archs {
-		for _, chaos := range []bool{false, true} {
-			cfg := opt.Base
-			cfg.Arch = a
-			cfg.Load = 0.8
-			cfg.CheckInvariants = true
-			if chaos {
-				cfg.Faults = ChaosPlan(cfg.Seed+7, cfg.Topology, cfg.WarmUp+cfg.Measure)
-				cfg.Reliability = hostif.Reliability{Enabled: true}
-			}
-			res, err := network.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := res.Conservation.Check(); err != nil {
-				return nil, fmt.Errorf("experiments: %s chaos=%v: %w", a, chaos, err)
-			}
-			label := "off"
-			if chaos {
-				label = "on"
-			}
-			ctrl := &res.PerClass[packet.Control]
-			mm := &res.PerClass[packet.Multimedia]
-			target := cfg.VideoTarget
-			t.Add(a.String(), label,
-				fmt.Sprintf("%.2f", ctrl.LatencyHist.Quantile(0.99).Microseconds()),
-				fmt.Sprintf("%.2f", mm.FrameHist.Quantile(0.99).Milliseconds()),
-				fmt.Sprintf("%.1f%%", 100*mm.FrameHist.FractionBelow(target+target/2)),
-				fmt.Sprintf("%d", res.LostOnLink),
-				fmt.Sprintf("%d", res.Conservation.ArrivedCorrupt),
-				fmt.Sprintf("%d", res.Reliability.Retransmitted),
-				fmt.Sprintf("%d", res.Reliability.Demoted))
-		}
+		cfg := opt.Base
+		cfg.Arch = a
+		cfg.Load = 0.8
+		cfg.CheckInvariants = true
+		chaos := cfg
+		chaos.Faults = ChaosPlan(cfg.Seed+7, cfg.Topology, cfg.WarmUp+cfg.Measure)
+		chaos.Reliability = hostif.Reliability{Enabled: true}
+		cfgs = append(cfgs, cfg, chaos)
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		ctrl := &res.PerClass[packet.Control]
+		mm := &res.PerClass[packet.Multimedia]
+		target := res.Config.VideoTarget
+		t.Add(res.Config.Arch.String(), onOff(i%2 == 1),
+			fmt.Sprintf("%.2f", ctrl.LatencyHist.Quantile(0.99).Microseconds()),
+			fmt.Sprintf("%.2f", mm.FrameHist.Quantile(0.99).Milliseconds()),
+			fmt.Sprintf("%.1f%%", 100*mm.FrameHist.FractionBelow(target+target/2)),
+			fmt.Sprintf("%d", res.LostOnLink),
+			fmt.Sprintf("%d", res.Conservation.ArrivedCorrupt),
+			fmt.Sprintf("%d", res.Reliability.Retransmitted),
+			fmt.Sprintf("%d", res.Reliability.Demoted))
 	}
 	return t, nil
 }
@@ -850,41 +882,34 @@ func Churn(opt Options) (*report.Table, error) {
 		"load", "inter-arrival", "faults", "started", "accept",
 		"setup p50 (us)", "setup p99 (us)", "reserved util (%)", "achieved util (%)",
 		"revoked", "downgraded")
+	var cfgs []network.Config
 	for _, load := range []float64{0.6, 1.0} {
 		for _, ia := range inters {
-			for _, faulty := range []bool{false, true} {
-				cfg := opt.Base
-				cfg.Arch = arch.Advanced2VC
-				cfg.Load = load
-				cfg.Sessions = ChurnSessions(ia)
-				cfg.CheckInvariants = true
-				if faulty {
-					cfg.Faults = ChurnPlan(cfg.Seed+11, cfg.Topology, cfg.WarmUp+cfg.Measure)
-				}
-				res, err := network.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				if err := res.Conservation.Check(); err != nil {
-					return nil, fmt.Errorf("experiments: churn load=%v ia=%v faults=%v: %w",
-						load, ia, faulty, err)
-				}
-				label := "off"
-				if faulty {
-					label = "on"
-				}
-				s := res.Sessions
-				t.Add(loadPct(load), ia.String(), label,
-					fmt.Sprintf("%d", s.Started),
-					fmt.Sprintf("%.3f", s.AcceptRatio),
-					fmt.Sprintf("%.2f", s.SetupP50.Microseconds()),
-					fmt.Sprintf("%.2f", s.SetupP99.Microseconds()),
-					fmt.Sprintf("%.1f", 100*s.ReservedUtil),
-					fmt.Sprintf("%.1f", 100*s.AchievedUtil),
-					fmt.Sprintf("%d", s.Revoked),
-					fmt.Sprintf("%d", s.Downgraded+s.RevokeDowngrades))
-			}
+			cfg := opt.Base
+			cfg.Arch = arch.Advanced2VC
+			cfg.Load = load
+			cfg.Sessions = ChurnSessions(ia)
+			cfg.CheckInvariants = true
+			faulty := cfg
+			faulty.Faults = ChurnPlan(cfg.Seed+11, cfg.Topology, cfg.WarmUp+cfg.Measure)
+			cfgs = append(cfgs, cfg, faulty)
 		}
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		s := res.Sessions
+		t.Add(loadPct(res.Config.Load), res.Config.Sessions.InterArrival.String(), onOff(i%2 == 1),
+			fmt.Sprintf("%d", s.Started),
+			fmt.Sprintf("%.3f", s.AcceptRatio),
+			fmt.Sprintf("%.2f", s.SetupP50.Microseconds()),
+			fmt.Sprintf("%.2f", s.SetupP99.Microseconds()),
+			fmt.Sprintf("%.1f", 100*s.ReservedUtil),
+			fmt.Sprintf("%.1f", 100*s.AchievedUtil),
+			fmt.Sprintf("%d", s.Revoked),
+			fmt.Sprintf("%d", s.Downgraded+s.RevokeDowngrades))
 	}
 	return t, nil
 }
@@ -925,7 +950,9 @@ func Availability(opt Options) (*report.Table, error) {
 		"switch MTTF", "outages", "downtime", "flows rerouted", "flows restored",
 		"flows unreachable", "sess rerouted", "sess revoked", "ttr p50", "ttr p99", "sw drops")
 	horizon := opt.Base.WarmUp + opt.Base.Measure
-	for _, mttf := range []units.Time{horizon, horizon / 2, horizon / 4} {
+	mttfs := []units.Time{horizon, horizon / 2, horizon / 4}
+	cfgs := make([]network.Config, len(mttfs))
+	for i, mttf := range mttfs {
 		cfg := opt.Base
 		cfg.Arch = arch.Advanced2VC
 		cfg.Load = 0.8
@@ -933,18 +960,18 @@ func Availability(opt Options) (*report.Table, error) {
 		cfg.Reliability = hostif.Reliability{Enabled: true}
 		cfg.Sessions = ChurnSessions(300 * units.Microsecond)
 		cfg.Faults = SwitchFaultPlan(cfg.Seed+13, cfg.Topology, horizon, mttf)
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := res.Conservation.Check(); err != nil {
-			return nil, fmt.Errorf("experiments: availability mttf=%v: %w", mttf, err)
-		}
+		cfgs[i] = cfg
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
 		av := res.Availability
 		if av == nil {
-			return nil, fmt.Errorf("experiments: availability mttf=%v: no Availability in results", mttf)
+			return nil, fmt.Errorf("experiments: availability mttf=%v: no Availability in results", mttfs[i])
 		}
-		t.Add(mttf.String(),
+		t.Add(mttfs[i].String(),
 			fmt.Sprintf("%d", av.SwitchDowns+av.PortDowns),
 			av.Downtime.String(),
 			fmt.Sprintf("%d", av.FlowsRerouted),
@@ -1108,16 +1135,17 @@ func Policies(opt Options) (*report.Table, error) {
 		"Extension: scheduling policies on one scenario (ring coflows + best-effort hotspot, full load)",
 		"policy", "adm/rej", "completed", "deadline met", "completion", "max lateness",
 		"weighted goodput", "evictions", "evicted value")
-	for _, pol := range PolicyList() {
-		cfg := PolicyScenario(opt.Base)
-		cfg.Policy = pol
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := res.Conservation.Check(); err != nil {
-			return nil, fmt.Errorf("experiments: policy %s: %w", pol.Name(), err)
-		}
+	pols := PolicyList()
+	cfgs := make([]network.Config, len(pols))
+	for i, pol := range pols {
+		cfgs[i] = PolicyScenario(opt.Base)
+		cfgs[i].Policy = pol
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range results {
 		c := res.Coflows
 		completion := "incomplete"
 		if c.AllDone {
@@ -1155,57 +1183,52 @@ func Survivable(opt Options) (*report.Table, error) {
 		"control plane", "CAC faults", "started", "accept", "setup p99 (us)",
 		"local share", "shed", "dark rejects", "promoted/reclaimed", "ttr p50", "ttr p99",
 		"grants floor (root dark)")
+	var cfgs []network.Config
 	for _, delegated := range []bool{false, true} {
-		for _, faulty := range []bool{false, true} {
-			cfg := opt.Base
-			cfg.Arch = arch.Advanced2VC
-			cfg.Load = 0.5
-			cfg.WarmUp = units.Millisecond
-			cfg.Measure = e7Horizon - units.Millisecond
-			cfg.CheckInvariants = true
-			cfg.ProbeInterval = units.Millisecond
-			cfg.Sessions = FlashCrowd(delegated)
-			if faulty {
-				cfg.Faults = CACOutagePlan(cfg.Topology, cfg.Sessions.WithDefaults())
-			}
-			res, err := network.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := res.Conservation.Check(); err != nil {
-				return nil, fmt.Errorf("experiments: survivable delegated=%v faults=%v: %w",
-					delegated, faulty, err)
-			}
-			s, cp := res.Sessions, res.ControlPlane
-			mode, label := "centralised", "off"
-			if delegated {
-				mode = "delegated"
-			}
-			if faulty {
-				label = "on"
-			}
-			local, ttr50, ttr99, floor := "-", "-", "-", "-"
-			if delegated && s.Accepted > 0 {
-				local = fmt.Sprintf("%.1f%%", 100*float64(cp.LocalGrants)/float64(s.Accepted))
-			}
-			if cp.FailoverCount > 0 {
-				ttr50, ttr99 = cp.FailoverP50.String(), cp.FailoverP99.String()
-			}
-			if faulty {
-				if f, ok := grantsFloor(res.Telemetry, e7RootDownAt, e7RootUpAt); ok {
-					floor = fmt.Sprintf("%d/ms", f)
-				}
-			}
-			t.Add(mode, label,
-				fmt.Sprintf("%d", s.Started),
-				fmt.Sprintf("%.3f", s.AcceptRatio),
-				fmt.Sprintf("%.2f", s.SetupP99.Microseconds()),
-				local,
-				fmt.Sprintf("%d", cp.Shed),
-				fmt.Sprintf("%d", cp.BreakerRejects),
-				fmt.Sprintf("%d/%d", cp.Promotions, cp.Reclaims),
-				ttr50, ttr99, floor)
+		cfg := opt.Base
+		cfg.Arch = arch.Advanced2VC
+		cfg.Load = 0.5
+		cfg.WarmUp = units.Millisecond
+		cfg.Measure = e7Horizon - units.Millisecond
+		cfg.CheckInvariants = true
+		cfg.ProbeInterval = units.Millisecond
+		cfg.Sessions = FlashCrowd(delegated)
+		faulty := cfg
+		faulty.Faults = CACOutagePlan(cfg.Topology, cfg.Sessions.WithDefaults())
+		cfgs = append(cfgs, cfg, faulty)
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		delegated, faulty := res.Config.Sessions.Delegation, i%2 == 1
+		s, cp := res.Sessions, res.ControlPlane
+		mode := "centralised"
+		if delegated {
+			mode = "delegated"
 		}
+		local, ttr50, ttr99, floor := "-", "-", "-", "-"
+		if delegated && s.Accepted > 0 {
+			local = fmt.Sprintf("%.1f%%", 100*float64(cp.LocalGrants)/float64(s.Accepted))
+		}
+		if cp.FailoverCount > 0 {
+			ttr50, ttr99 = cp.FailoverP50.String(), cp.FailoverP99.String()
+		}
+		if faulty {
+			if f, ok := grantsFloor(res.Telemetry, e7RootDownAt, e7RootUpAt); ok {
+				floor = fmt.Sprintf("%d/ms", f)
+			}
+		}
+		t.Add(mode, onOff(faulty),
+			fmt.Sprintf("%d", s.Started),
+			fmt.Sprintf("%.3f", s.AcceptRatio),
+			fmt.Sprintf("%.2f", s.SetupP99.Microseconds()),
+			local,
+			fmt.Sprintf("%d", cp.Shed),
+			fmt.Sprintf("%d", cp.BreakerRejects),
+			fmt.Sprintf("%d/%d", cp.Promotions, cp.Reclaims),
+			ttr50, ttr99, floor)
 	}
 	return t, nil
 }

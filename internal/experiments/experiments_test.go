@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"deadlineqos/internal/arch"
+	"deadlineqos/internal/network"
+	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
 )
 
@@ -36,54 +41,25 @@ func TestTable1(t *testing.T) {
 	}
 }
 
-func TestFig2(t *testing.T) {
-	lat, cdf, plot, err := Fig2(tinyOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lat.Rows) != 2 {
-		t.Fatalf("Fig2 latency table has %d rows, want 2 (loads)", len(lat.Rows))
-	}
-	if len(cdf.Rows) != 3 {
-		t.Fatalf("Fig2 CDF table has %d rows, want 3 (archs)", len(cdf.Rows))
-	}
-	if !strings.Contains(plot.String(), "Control") {
-		t.Error("Fig2 plot missing title")
-	}
-}
-
 func TestFig3(t *testing.T) {
 	o := tinyOpt()
 	o.Base.Measure = 25 * units.Millisecond // frames need a longer window
-	lat, cdf, _, err := Fig3(o)
+	f, err := AllFigures(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lat.Rows) != len(o.Loads) {
-		t.Fatalf("Fig3 latency rows = %d", len(lat.Rows))
+	if len(f.Fig3Latency.Rows) != len(o.Loads) {
+		t.Fatalf("Fig3 latency rows = %d", len(f.Fig3Latency.Rows))
 	}
 	// The CDF must have counted frames for the EDF architectures.
 	found := false
-	for _, row := range cdf.Rows {
+	for _, row := range f.Fig3CDF.Rows {
 		if row[1] != "0" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("Fig3 CDF has no frame samples:\n%s", cdf.String())
-	}
-}
-
-func TestFig4(t *testing.T) {
-	tb, plot, err := Fig4(tinyOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Header) != 1+2*3 {
-		t.Fatalf("Fig4 header has %d columns, want 7 (load + 2 per arch)", len(tb.Header))
-	}
-	if len(plot.Series) != 6 {
-		t.Fatalf("Fig4 plot has %d series, want 6", len(plot.Series))
+		t.Fatalf("Fig3 CDF has no frame samples:\n%s", f.Fig3CDF.String())
 	}
 }
 
@@ -167,9 +143,44 @@ func TestVideoJitter(t *testing.T) {
 	}
 }
 
-func TestAllFiguresSharesSweep(t *testing.T) {
+// tinyFigures runs AllFigures at tinyOpt once; TestFig2, TestFig4 and
+// TestAllFiguresSharesSweep all read this one sweep.
+var tinyFigures = sync.OnceValues(func() (*Figures, error) { return AllFigures(tinyOpt()) })
+
+func TestFig2(t *testing.T) {
 	o := tinyOpt()
-	f, err := AllFigures(o)
+	f, err := tinyFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Fig2Latency.Rows) != len(o.Loads) {
+		t.Fatalf("Fig2 latency table has %d rows, want %d (loads)", len(f.Fig2Latency.Rows), len(o.Loads))
+	}
+	if len(f.Fig2CDF.Rows) != len(o.Archs) {
+		t.Fatalf("Fig2 CDF table has %d rows, want %d (archs)", len(f.Fig2CDF.Rows), len(o.Archs))
+	}
+	if !strings.Contains(f.Plots[0].String(), "Control") {
+		t.Error("Fig2 plot missing title")
+	}
+}
+
+func TestFig4(t *testing.T) {
+	o := tinyOpt()
+	f, err := tinyFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Fig4Throughput.Header) != 1+2*len(o.Archs) {
+		t.Fatalf("Fig4 header has %d columns, want %d (load + 2 per arch)",
+			len(f.Fig4Throughput.Header), 1+2*len(o.Archs))
+	}
+	if len(f.Plots[2].Series) != 2*len(o.Archs) {
+		t.Fatalf("Fig4 plot has %d series, want %d", len(f.Plots[2].Series), 2*len(o.Archs))
+	}
+}
+
+func TestAllFiguresSharesSweep(t *testing.T) {
+	f, err := tinyFigures()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +190,6 @@ func TestAllFiguresSharesSweep(t *testing.T) {
 	}
 	if len(f.Plots) != 3 {
 		t.Fatalf("AllFigures plots = %d, want 3", len(f.Plots))
-	}
-	// Same rows as the standalone builders would produce.
-	if len(f.Fig2Latency.Rows) != len(o.Loads) {
-		t.Fatalf("Fig2 rows = %d, want %d", len(f.Fig2Latency.Rows), len(o.Loads))
 	}
 }
 
@@ -224,10 +231,17 @@ func TestFig2Confidence(t *testing.T) {
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
+	// Distinct seeds must actually vary the runs.
+	varied := false
 	for _, cell := range tb.Rows[0][1:] {
-		if !strings.Contains(cell, "±") {
+		_, std, ok := strings.Cut(cell, "±")
+		if !ok {
 			t.Fatalf("cell %q missing ±", cell)
 		}
+		varied = varied || std != "0.00"
+	}
+	if !varied {
+		t.Fatalf("every cell has zero std across seeds 1 and 2:\n%s", tb)
 	}
 }
 
@@ -378,5 +392,193 @@ func TestChaos(t *testing.T) {
 	}
 	if len(tb.Rows) != 2 {
 		t.Fatalf("chaos table has %d rows, want 2 (off/on)", len(tb.Rows))
+	}
+}
+
+// runnerBase is a 2 ms run on the quick network: enough traffic to tell
+// two configs apart, cheap enough to run a batch twice.
+func runnerBase() network.Config {
+	cfg := network.SmallConfig()
+	cfg.WarmUp = 200 * units.Microsecond
+	cfg.Measure = 2 * units.Millisecond
+	return cfg
+}
+
+func TestGridOrder(t *testing.T) {
+	base := runnerBase()
+	cfgs := grid(base, []arch.Arch{arch.Ideal, arch.Advanced2VC}, []float64{0.2, 0.5})
+	want := []struct {
+		a arch.Arch
+		l float64
+	}{{arch.Ideal, 0.2}, {arch.Ideal, 0.5}, {arch.Advanced2VC, 0.2}, {arch.Advanced2VC, 0.5}}
+	if len(cfgs) != len(want) {
+		t.Fatalf("grid returned %d configs, want %d", len(cfgs), len(want))
+	}
+	for i, c := range cfgs {
+		if c.Arch != want[i].a || c.Load != want[i].l || c.Seed != base.Seed {
+			t.Errorf("config %d = (%v, %v, seed %d), want (%v, %v, seed %d)",
+				i, c.Arch, c.Load, c.Seed, want[i].a, want[i].l, base.Seed)
+		}
+	}
+}
+
+// TestRunAllParallelMatchesSerial runs one batch of six distinct configs
+// on one worker and on four: every index must hold the same run.
+func TestRunAllParallelMatchesSerial(t *testing.T) {
+	cfgs := grid(runnerBase(), []arch.Arch{arch.Ideal, arch.Simple2VC, arch.Advanced2VC}, []float64{0.4, 0.8})
+	snapshots := func(par int) []string {
+		results, err := Options{Parallelism: par}.runAll(cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(results))
+		for i, r := range results {
+			var b bytes.Buffer
+			if err := r.Snapshot("run").WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b.String()
+		}
+		return out
+	}
+	serial, parallel := snapshots(1), snapshots(4)
+	for i := range cfgs {
+		if serial[i] != parallel[i] {
+			t.Errorf("run %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, serial[i], parallel[i])
+		}
+	}
+}
+
+func TestRunAllNamesLowestFailure(t *testing.T) {
+	cfgs := grid(runnerBase(), []arch.Arch{arch.Ideal, arch.Advanced2VC}, []float64{0.2, 0.4, 0.6})
+	cfgs[2].ControlDests = 0 // invalid
+	cfgs[4].ControlDests = 0
+	_, err := Options{Parallelism: 4}.runAll(cfgs)
+	if err == nil {
+		t.Fatal("runAll accepted a batch with invalid configs")
+	}
+	want := fmt.Sprintf("run 2 (%v, load 0.6, seed %d)", arch.Ideal, cfgs[2].Seed)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+}
+
+// cell parses a numeric table cell, ignoring a trailing % or /ms.
+func cell(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSuffix(s, "%"), "/ms"), 64)
+	if err != nil {
+		t.Fatalf("unparsable cell %q", s)
+	}
+	return v
+}
+
+// TestDeadlineSlack pins E4's claim: the deadline architecture delivers
+// Control traffic with more slack than Traditional at full load.
+func TestDeadlineSlack(t *testing.T) {
+	tb, err := DeadlineSlack(tinyOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slack := map[string]float64{}
+	for _, row := range tb.Rows {
+		if row[1] == packet.Control.String() {
+			slack[row[0]] = cell(t, row[2])
+		}
+	}
+	trad, adv := slack[arch.Traditional2VC.String()], slack[arch.Advanced2VC.String()]
+	if adv <= trad {
+		t.Errorf("Advanced mean Control slack %.2f us <= Traditional's %.2f us:\n%s", adv, trad, tb)
+	}
+}
+
+// TestAvailability pins E6's claims: halving the switch MTTF adds
+// outages, and every outage discards what the dead switch held, more of
+// it as outages accumulate.
+func TestAvailability(t *testing.T) {
+	tb, err := Availability(tinyOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 3 {
+		t.Fatalf("availability rows = %d, want 3", len(tb.Rows))
+	}
+	for i, row := range tb.Rows {
+		if cell(t, row[10]) == 0 {
+			t.Errorf("MTTF %s: no switch drops:\n%s", row[0], tb)
+		}
+		if i > 0 && (cell(t, row[1]) <= cell(t, tb.Rows[i-1][1]) || cell(t, row[10]) <= cell(t, tb.Rows[i-1][10])) {
+			t.Errorf("MTTF %s: outages or switch drops did not grow:\n%s", row[0], tb)
+		}
+	}
+}
+
+// TestSurvivable pins E7's claim: while the root CAC host is dark, the
+// centralised plane grants nothing and the delegated plane keeps granting.
+func TestSurvivable(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("E7 runs four 61 ms flash-crowd simulations")
+	}
+	tb, err := Survivable(tinyOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 4 {
+		t.Fatalf("survivable rows = %d, want 4", len(tb.Rows))
+	}
+	central, delegated := tb.Rows[1], tb.Rows[3]
+	if central[0] != "centralised" || central[1] != "on" || delegated[0] != "delegated" || delegated[1] != "on" {
+		t.Fatalf("row order wrong:\n%s", tb)
+	}
+	if cell(t, central[11]) != 0 {
+		t.Errorf("centralised grants floor %s with the root dark, want 0/ms:\n%s", central[11], tb)
+	}
+	if cell(t, delegated[11]) == 0 {
+		t.Errorf("delegated grants floor is 0/ms with the root dark:\n%s", tb)
+	}
+}
+
+// TestProtection pins E9's claims: an unpoliced rogue half of the fabric
+// makes innocent flows miss, the policer plus the occupancy guard
+// restores them, and the policer flags forged deadline stamps.
+func TestProtection(t *testing.T) {
+	tb, err := Protection(tinyOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 9 {
+		t.Fatalf("protection rows = %d, want 9", len(tb.Rows))
+	}
+	rogue, protected, forge, policedForge := tb.Rows[2], tb.Rows[5], tb.Rows[7], tb.Rows[8]
+	if rogue[0] != "rogue" || rogue[1] != "off" || rogue[2] != "off" ||
+		protected[0] != "rogue" || protected[1] != "on" || protected[2] == "off" ||
+		policedForge[0] != "forge" || policedForge[1] != "on" {
+		t.Fatalf("row order wrong:\n%s", tb)
+	}
+	if cell(t, protected[3]) >= cell(t, rogue[3])/10 {
+		t.Errorf("police+guard innocent miss %s%% is not a tenth of the unprotected %s%%:\n%s",
+			protected[3], rogue[3], tb)
+	}
+	if forge[8] != "0" || cell(t, policedForge[8]) == 0 {
+		t.Errorf("forged counts: unpoliced %s, policed %s; want 0 and > 0:\n%s", forge[8], policedForge[8], tb)
+	}
+}
+
+// TestGrayDrain pins E9b's claim: the armed detector flags the slow-drain
+// links, reroutes flows around them and lowers the frame miss rate.
+func TestGrayDrain(t *testing.T) {
+	tb, err := GrayDrain(tinyOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 2 || tb.Rows[0][0] != "off" || tb.Rows[1][0] != "on" {
+		t.Fatalf("gray rows wrong:\n%s", tb)
+	}
+	off, on := tb.Rows[0], tb.Rows[1]
+	if cell(t, on[1]) == 0 || cell(t, on[2]) == 0 {
+		t.Errorf("detector on: %s detections, %s flows rerouted; want both > 0:\n%s", on[1], on[2], tb)
+	}
+	if cell(t, on[4]) >= cell(t, off[4]) {
+		t.Errorf("frame miss %s%% with the detector is not below %s%% without:\n%s", on[4], off[4], tb)
 	}
 }

@@ -151,7 +151,8 @@ func Protection(opt Options) (*report.Table, error) {
 			hosts/2, hosts, rogueFactor),
 		"scenario", "police", "guard", "innocent miss %", "rogue miss %",
 		"video p99 (ms)", "control p99 (us)", "demoted", "forged")
-	for _, row := range rows {
+	cfgs := make([]network.Config, len(rows))
+	for i, row := range rows {
 		cfg := protectionConfig(opt.Base)
 		if row.churn {
 			protectionChurn(&cfg)
@@ -164,18 +165,15 @@ func Protection(opt Options) (*report.Table, error) {
 		}
 		cfg.Police = row.police
 		cfg.GuardBytes = row.guard
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := res.Conservation.Check(); err != nil {
-			return nil, fmt.Errorf("experiments: protection %s police=%v guard=%v: %w",
-				row.name, row.police, row.guard, err)
-		}
-		police, guard := "off", "off"
-		if row.police {
-			police = "on"
-		}
+		cfgs[i] = cfg
+	}
+	results, err := opt.runAll(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		row := rows[i]
+		guard := "off"
 		if row.guard > 0 {
 			guard = row.guard.String()
 		}
@@ -185,7 +183,7 @@ func Protection(opt Options) (*report.Table, error) {
 		}
 		mm := &res.PerClass[packet.Multimedia]
 		ctrl := &res.PerClass[packet.Control]
-		t.Add(row.name, police, guard,
+		t.Add(row.name, onOff(row.police), guard,
 			fmt.Sprintf("%.2f", 100*res.InnocentMissRate()),
 			fmt.Sprintf("%.2f", 100*res.RogueMissRate()),
 			fmt.Sprintf("%.3f", mm.FrameHist.Quantile(0.99).Milliseconds()),
@@ -242,25 +240,19 @@ func GrayDrain(opt Options) (*report.Table, error) {
 		"Extension: gray-failure detection — slow-drain links, proactive reroute (Advanced 2 VCs, 70% load + churn)",
 		"detector", "detections", "flows rerouted", "revalidations",
 		"frame miss %", "video p99 (ms)", "control p99 (us)")
-	for _, detect := range []bool{false, true} {
-		cfg := protectionConfig(opt.Base)
-		protectionChurn(&cfg)
-		horizon := cfg.WarmUp + cfg.Measure
-		cfg.Faults = GrayPlan(ids, cfg.WarmUp+units.Millisecond, horizon, 0.2)
-		if detect {
-			cfg.GrayPersistence = 500 * units.Microsecond
-		}
-		res, err := network.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := res.Conservation.Check(); err != nil {
-			return nil, fmt.Errorf("experiments: gray detect=%v: %w", detect, err)
-		}
-		label := "off"
+	cfg := protectionConfig(opt.Base)
+	protectionChurn(&cfg)
+	cfg.Faults = GrayPlan(ids, cfg.WarmUp+units.Millisecond, cfg.WarmUp+cfg.Measure, 0.2)
+	armed := cfg
+	armed.GrayPersistence = 500 * units.Microsecond
+	results, err := opt.runAll([]network.Config{cfg, armed})
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range results {
+		detect := res.Config.GrayPersistence > 0
 		detections, rerouted, revals := "-", "-", "-"
 		if detect {
-			label = "on"
 			if res.Gray == nil {
 				return nil, fmt.Errorf("experiments: gray: no Gray report in results")
 			}
@@ -270,7 +262,7 @@ func GrayDrain(opt Options) (*report.Table, error) {
 		}
 		mm := &res.PerClass[packet.Multimedia]
 		ctrl := &res.PerClass[packet.Control]
-		t.Add(label, detections, rerouted, revals,
+		t.Add(onOff(detect), detections, rerouted, revals,
 			fmt.Sprintf("%.2f", 100*res.InnocentMissRate()),
 			fmt.Sprintf("%.3f", mm.FrameHist.Quantile(0.99).Milliseconds()),
 			fmt.Sprintf("%.2f", ctrl.LatencyHist.Quantile(0.99).Microseconds()))

@@ -386,23 +386,30 @@ func TestNoFlowReordersEndToEnd(t *testing.T) {
 	for _, a := range arch.All() {
 		cfg := quickCfg(a, 1.0)
 		cfg.Measure = 5 * units.Millisecond
-		lastSeq := map[packet.FlowID]int64{}
-		violations := 0
-		cfg.Trace.Delivered = func(p *packet.Packet, _ units.Time) {
-			if last, ok := lastSeq[p.Flow]; ok && int64(p.Seq) <= last {
-				violations++
-			}
-			lastSeq[p.Flow] = int64(p.Seq)
+		checkNoReorder(t, cfg)
+	}
+}
+
+// checkNoReorder runs cfg with a delivery trace and fails t if any flow's
+// packets arrive out of sequence order, or if nothing arrives at all.
+func checkNoReorder(t *testing.T, cfg Config) {
+	t.Helper()
+	lastSeq := map[packet.FlowID]int64{}
+	violations := 0
+	cfg.Trace.Delivered = func(p *packet.Packet, _ units.Time) {
+		if last, ok := lastSeq[p.Flow]; ok && int64(p.Seq) <= last {
+			violations++
 		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if violations > 0 {
-			t.Errorf("%v: %d out-of-order deliveries", a, violations)
-		}
-		if len(lastSeq) == 0 {
-			t.Errorf("%v: trace saw no deliveries", a)
-		}
+		lastSeq[p.Flow] = int64(p.Seq)
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if violations > 0 {
+		t.Errorf("%v: %d out-of-order deliveries", cfg.Arch, violations)
+	}
+	if len(lastSeq) == 0 {
+		t.Errorf("%v: trace saw no deliveries", cfg.Arch)
 	}
 }
 
@@ -543,20 +550,7 @@ func TestTraditional4VCIsolatesControl(t *testing.T) {
 func TestTraditional4VCNoReorder(t *testing.T) {
 	cfg := quickCfg(arch.Traditional4VC, 1.0)
 	cfg.Measure = 4 * units.Millisecond
-	lastSeq := map[packet.FlowID]int64{}
-	reorders := 0
-	cfg.Trace.Delivered = func(p *packet.Packet, _ units.Time) {
-		if last, ok := lastSeq[p.Flow]; ok && int64(p.Seq) <= last {
-			reorders++
-		}
-		lastSeq[p.Flow] = int64(p.Seq)
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if reorders > 0 {
-		t.Fatalf("%d reorders under Traditional 4 VCs", reorders)
-	}
+	checkNoReorder(t, cfg)
 }
 
 func TestUnloadedLatencyMatchesAnalyticModel(t *testing.T) {
