@@ -75,7 +75,7 @@ func sectionNames() []string {
 func run() error {
 	var (
 		scale   = flag.String("scale", "quick", "experiment scale: quick|paper")
-		par     = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
+		par     = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS / shards, at least 1)")
 		shards  = cli.ShardsFlag()
 		seed    = flag.Uint64("seed", 1, "random seed")
 		seeds   = flag.String("seeds", "", "comma-separated seed list: the figures also report Figure 2 mean±std across them")

@@ -38,7 +38,7 @@ type Options struct {
 	Archs []arch.Arch
 	Loads []float64
 	// Parallelism bounds how many simulations of an experiment run at
-	// once; <= 0 selects GOMAXPROCS.
+	// once; <= 0 divides GOMAXPROCS among each run's Base.Shards engines.
 	Parallelism int
 }
 
@@ -114,16 +114,13 @@ func grid(base network.Config, archs []arch.Arch, loads []float64) []network.Con
 	return cfgs
 }
 
-// runAll runs every config on at most o.Parallelism workers (<= 0 selects
-// GOMAXPROCS) and returns the results in config order. Each simulation
-// owns all its state, so the order in which the workers take them changes
-// nothing. A run whose packet conservation does not balance has failed;
-// the error names the lowest failing run.
+// runAll runs every config on workerCount's workers and returns the
+// results in config order. Each simulation owns all its state, so the
+// order in which the workers take them changes nothing. A run whose packet
+// conservation does not balance has failed; the error names the lowest
+// failing run.
 func (o Options) runAll(cfgs []network.Config) ([]*network.Results, error) {
-	workers := o.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := workerCount(o.Parallelism, o.Base.Shards, runtime.GOMAXPROCS(0))
 	results := make([]*network.Results, len(cfgs))
 	errs := make([]error, len(cfgs))
 	next := make(chan int)
@@ -153,6 +150,16 @@ func (o Options) runAll(cfgs []network.Config) ([]*network.Results, error) {
 		}
 	}
 	return results, nil
+}
+
+// workerCount is how many simulations run at once: par when positive,
+// else as many as procs cores hold when each run keeps shards engine
+// goroutines busy, and at least one.
+func workerCount(par, shards, procs int) int {
+	if par > 0 {
+		return par
+	}
+	return max(1, procs/max(1, shards))
 }
 
 func loadPct(l float64) string { return fmt.Sprintf("%.0f%%", 100*l) }

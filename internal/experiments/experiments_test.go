@@ -449,6 +449,27 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestWorkerCount pins the runner's default pool size: GOMAXPROCS shared
+// among each run's shard goroutines, so sharded runs do not oversubscribe
+// the cores; an explicit Parallelism wins.
+func TestWorkerCount(t *testing.T) {
+	for _, c := range []struct{ par, shards, procs, want int }{
+		{0, 0, 4, 4},
+		{0, 1, 4, 4},
+		{0, 2, 4, 2},
+		{0, 2, 2, 1},
+		{0, 3, 8, 2},
+		{0, 8, 4, 1},
+		{3, 2, 4, 3},
+		{1, 1, 8, 1},
+	} {
+		if got := workerCount(c.par, c.shards, c.procs); got != c.want {
+			t.Errorf("workerCount(par %d, shards %d, procs %d) = %d, want %d",
+				c.par, c.shards, c.procs, got, c.want)
+		}
+	}
+}
+
 func TestRunAllNamesLowestFailure(t *testing.T) {
 	cfgs := grid(runnerBase(), []arch.Arch{arch.Ideal, arch.Advanced2VC}, []float64{0.2, 0.4, 0.6})
 	cfgs[2].ControlDests = 0 // invalid

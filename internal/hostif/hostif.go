@@ -115,7 +115,9 @@ func (s *IDSource) NextPacket() uint64 { s.pkt++; return s.pkt }
 func (s *IDSource) NextFrame() uint64 { s.frame++; return s.frame }
 
 // Hooks are the instrumentation callbacks a Host reports to (wired to the
-// stats collector). Any may be nil.
+// stats collector). Any may be nil. The packet a hook is handed is valid
+// only during the call: it may be recycled as soon as the hook returns
+// (see packet.Pool), so a hook copies whatever it keeps.
 type Hooks struct {
 	Generated func(p *packet.Packet)
 	Injected  func(p *packet.Packet, now units.Time)
@@ -151,7 +153,12 @@ type Config struct {
 	// paper). Zero disables eligible-time shaping globally.
 	EligibleLead units.Time
 	IDs          *IDSource
-	Hooks        Hooks
+	// Pool recycles packets on the host's shard: emit and retransmit take
+	// packets from it, and the host returns every packet whose life ends
+	// here (delivery, CRC drop, duplicate drop, NIC eviction). Nil
+	// allocates every packet and recycles none.
+	Pool  *packet.Pool
+	Hooks Hooks
 	// Reliability configures the end-to-end retransmission layer (see
 	// reliability.go); the zero value disables it.
 	Reliability Reliability
@@ -341,7 +348,9 @@ func (h *Host) SubmitCtl(flowID packet.FlowID, payload units.Size, ctl any) {
 
 // SetCtlHandler registers the callback that receives delivered in-band
 // control payloads (packets submitted with SubmitCtl). The handler runs at
-// event time on this host's engine, after the normal delivery accounting.
+// event time on this host's engine, after the normal delivery accounting;
+// the packet is recycled when it returns, so the handler keeps p.Ctl, not
+// p.
 func (h *Host) SetCtlHandler(fn func(p *packet.Packet)) { h.onCtl = fn }
 
 // emit stamps one packet of a message — deadline calculus (§3.1),
@@ -349,7 +358,8 @@ func (h *Host) SetCtlHandler(fn func(p *packet.Packet)) { h.onCtl = fn }
 // ctl, when non-nil, rides the packet as an in-band control payload.
 // Callers follow up with tryInject.
 func (h *Host) emit(f *Flow, chunk units.Size, frameID uint64, parts int, ctl any, now units.Time) {
-	p := &packet.Packet{
+	p := h.cfg.Pool.Get()
+	*p = packet.Packet{
 		ID:         h.cfg.IDs.NextPacket(),
 		Flow:       f.ID,
 		Class:      f.Class,
@@ -567,7 +577,8 @@ func (h *Host) tryInject() {
 // onEvict accounts a packet a bounded ready queue discarded: the packet
 // was Generated but never injected, so the conservation invariant needs
 // the dedicated eviction term (faults.Conservation.EvictedAtNIC). Fires
-// synchronously from inside a ready-queue Push.
+// synchronously from inside a ready-queue Push; the packet's life ends
+// here.
 func (h *Host) onEvict(p *packet.Packet) {
 	if h.cfg.Tracer != nil && p.Sampled {
 		h.traceEvt(trace.KindNICEvict, p)
@@ -575,6 +586,7 @@ func (h *Host) onEvict(p *packet.Packet) {
 	if h.cfg.Hooks.Evicted != nil {
 		h.cfg.Hooks.Evicted(p, h.cfg.Eng.Now())
 	}
+	h.cfg.Pool.Put(p)
 }
 
 // Receive implements link.Receiver for the host's downlink: the NIC drains
@@ -582,8 +594,9 @@ func (h *Host) onEvict(p *packet.Packet) {
 // or duplicate copy occupied the buffer just like a good one. Corrupted
 // copies fail the end-to-end CRC check and are dropped (with a NAK when
 // the reliability layer runs); duplicates are dropped and re-acknowledged;
-// everything else is delivered to the application at once. The upstream
-// link is identified per call via SetUpstream.
+// everything else is delivered to the application at once. Each of the
+// three ends the packet's life, so it returns to the pool last. The
+// upstream link is identified per call via SetUpstream.
 func (h *Host) Receive(p *packet.Packet) {
 	p.UnpackTTD(h.cfg.Clock.Now())
 	if h.upstream != nil {
@@ -602,6 +615,7 @@ func (h *Host) Receive(p *packet.Packet) {
 			h.sendReport(p, p.Seq, false)
 			h.rxFlowOf(p.Flow).naked(p.Seq)
 		}
+		h.cfg.Pool.Put(p)
 		return
 	}
 	if h.rel != nil {
@@ -616,6 +630,7 @@ func (h *Host) Receive(p *packet.Packet) {
 			}
 			// Re-acknowledge: the original ack may have raced a timeout.
 			h.sendReport(p, p.Seq, true)
+			h.cfg.Pool.Put(p)
 			return
 		}
 		rx.mark(p.Seq)
@@ -645,6 +660,7 @@ func (h *Host) Receive(p *packet.Packet) {
 	if p.Ctl != nil && h.onCtl != nil {
 		h.onCtl(p)
 	}
+	h.cfg.Pool.Put(p)
 }
 
 // traceEvt records one lifecycle event for a sampled packet. Callers must

@@ -326,7 +326,7 @@ func (h *Host) retransmit(f *Flow, e *relEntry) {
 	e.pkt = cp
 	e.queued = true
 
-	pc := new(packet.Packet)
+	pc := h.cfg.Pool.Get()
 	*pc = cp
 	if h.cfg.Tracer != nil && pc.Sampled {
 		// The copy inherits the original's sampling decision through the

@@ -285,3 +285,36 @@ func TestReliableCycleAllocatesOnlyThePacket(t *testing.T) {
 		t.Fatalf("outstanding %d, acked %d of %d", h.Outstanding(), h.RelCounters().Acked, f.seq)
 	}
 }
+
+// TestPooledDeliveryCycleAllocatesNothing pins packet recycling: two
+// hosts share one pool, and on a warm pair a submit → inject → deliver
+// cycle allocates nothing, because the receiver returns each delivered
+// packet for the sender's next emit.
+func TestPooledDeliveryCycleAllocatesNothing(t *testing.T) {
+	eng := sim.New()
+	pool := new(packet.Pool)
+	newHost := func(id int) *Host {
+		return New(Config{
+			Eng: eng, Clock: packet.Clock{Base: eng.Now}, ID: id, Arch: arch.Advanced2VC,
+			MTU: 2 * units.Kilobyte, IDs: NewIDSource(uint64(id+1) << 40), Pool: pool,
+		})
+	}
+	src, dst := newHost(0), newHost(1)
+	l := link.New(eng, 1, 10, 8*units.Kilobyte, dst)
+	src.ConnectOut(l)
+	dst.SetUpstream(l)
+	src.AddFlow(bwFlow(1, packet.Control, 1))
+	cycle := func() {
+		src.SubmitMessage(1, 100)
+		eng.Run(eng.Now() + 1000)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		t.Fatalf("a pooled submit-inject-deliver cycle allocates %v times, want 0", a)
+	}
+	if taken, returned := pool.Counts(); dst.Received() != 1101 || taken != returned {
+		t.Fatalf("delivered %d of 1101; pool taken %d, returned %d", dst.Received(), taken, returned)
+	}
+}

@@ -188,6 +188,9 @@ func (l *Link) Send(p *packet.Packet) {
 			flags |= lostStatic
 		} else {
 			l.remoteDeliver(arrive, p)
+			// The receiver's shard owns p now and may recycle it before
+			// the bookkeeping event below fires, so that event drops it.
+			p = nil
 		}
 	}
 	l.eng.Post(arrive, l.pktCh, sim.Payload{H: l, Kind: sim.KindLinkArrive, Pkt: p, A: l.downEpoch, B: flags})
@@ -226,7 +229,8 @@ func (l *Link) Fire(kind sim.Kind, p *packet.Packet, a, b uint64) {
 // p. On a cross-shard link the receiver's shard already has the packet (or
 // never got it), so only the sender-side bookkeeping runs here, after
 // asserting that the static loss decision matches the dynamic epoch state;
-// p is read only when it was lost and so never left this shard.
+// p is read only when it was lost and so never left this shard (a packet
+// handed to the receiver's shard arrives here as nil).
 func (l *Link) arrive(p *packet.Packet, epoch, flags uint64) {
 	l.inFlight--
 	lost := flags&sentDown != 0 || epoch != l.downEpoch

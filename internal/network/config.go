@@ -250,7 +250,9 @@ type Config struct {
 	VCArbitrationTable []packet.VC
 }
 
-// Trace is a set of optional packet-event callbacks.
+// Trace is a set of optional packet-event callbacks. The packet a callback
+// is handed is valid only during the call: it may be recycled as soon as
+// the callback returns, so a callback copies whatever it keeps.
 type Trace struct {
 	Generated func(p *packet.Packet)
 	Injected  func(p *packet.Packet, now units.Time)

@@ -131,6 +131,9 @@ type netShard struct {
 	gray          *grayShard        // nil unless the gray detector is armed
 	mtr           *shardMetrics     // nil unless Config.Metrics is set
 	links         []*link.Link      // the links this shard sends on
+	// pool recycles the packets whose life ends on this shard; its hosts
+	// emit from it (DESIGN.md §5, packet ownership).
+	pool *packet.Pool
 }
 
 // Network is a fully wired simulation. Build one with New, then call Run,
@@ -270,6 +273,7 @@ func New(cfg Config) (*Network, error) {
 		sh := &netShard{
 			eng:     sim.New(),
 			collect: stats.NewCollector(n.topo.Hosts(), cfg.LinkBW, cfg.WarmUp, cfg.WarmUp+cfg.Measure),
+			pool:    new(packet.Pool),
 		}
 		if n.nshards == 1 {
 			sh.tracer = rootTracer
@@ -383,6 +387,7 @@ func New(cfg Config) (*Network, error) {
 			// any cross-shard coordination, and identical at every shard
 			// count.
 			IDs:         hostif.NewIDSource(uint64(h+1) << 40),
+			Pool:        sh.pool,
 			Policy:      n.pol,
 			Hooks:       hooks[n.hostShard[h]],
 			Reliability: cfg.Reliability,
@@ -571,7 +576,8 @@ func (n *Network) hooksFor(sh *netShard) hostif.Hooks {
 	return hooks
 }
 
-// onDropFor builds the in-flight-loss observer for links owned by sh.
+// onDropFor builds the in-flight-loss observer for links owned by sh. A
+// lost packet never left the sender's shard, and its life ends here.
 func (n *Network) onDropFor(sh *netShard) func(p *packet.Packet) {
 	return func(p *packet.Packet) {
 		sh.cons.LostOnLink++
@@ -587,16 +593,19 @@ func (n *Network) onDropFor(sh *netShard) func(p *packet.Packet) {
 			})
 		}
 		sh.collect.PacketLost(p)
+		sh.pool.Put(p)
 	}
 }
 
 // onSwitchDropFor builds the dead-switch discard observer for switches
 // owned by sh (the switch itself traces the drop; this hook keeps the
-// conservation books and the per-class loss statistics).
+// conservation books and the per-class loss statistics, and recycles the
+// packet, whose life ends here).
 func (n *Network) onSwitchDropFor(sh *netShard) func(p *packet.Packet) {
 	return func(p *packet.Packet) {
 		sh.cons.DroppedInSwitch++
 		sh.collect.PacketLost(p)
+		sh.pool.Put(p)
 	}
 }
 
@@ -1324,20 +1333,14 @@ func (n *Network) Run() *Results {
 		res.PendingAtHorizon += h.Pending()
 	}
 
-	// Close the conservation books: everything not yet in a terminal state
-	// is either staged at a NIC or inside the fabric (switch buffers,
-	// crossbars mid-transfer, link wires).
+	// Close the conservation books with the packets still held.
 	cons := n.Conservation()
+	cons.StagedAtStop, cons.InNetworkAtStop = n.held()
 	for _, h := range n.hosts {
-		cons.StagedAtStop += uint64(h.Pending())
 		res.Reliability.Add(h.RelCounters())
 		res.OutstandingAtStop += h.Outstanding()
 	}
-	for _, sw := range n.switches {
-		cons.InNetworkAtStop += uint64(sw.Queued() + sw.InTransit())
-	}
 	for _, l := range n.links {
-		cons.InNetworkAtStop += l.InFlight()
 		res.CorruptedInFlight += l.Corrupted()
 	}
 	if n.sessMgr != nil {
@@ -1407,6 +1410,22 @@ func (n *Network) FaultTrace() []faults.TraceEntry {
 		}
 	}
 	return out
+}
+
+// held counts the packets not yet in a terminal state: staged at a NIC,
+// or inside the fabric (switch buffers, crossbars mid-transfer, link
+// wires).
+func (n *Network) held() (staged, inNetwork uint64) {
+	for _, h := range n.hosts {
+		staged += uint64(h.Pending())
+	}
+	for _, sw := range n.switches {
+		inNetwork += uint64(sw.Queued() + sw.InTransit())
+	}
+	for _, l := range n.links {
+		inNetwork += l.InFlight()
+	}
+	return staged, inNetwork
 }
 
 // Conservation returns the current conservation counters, summed over

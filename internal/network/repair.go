@@ -115,10 +115,23 @@ func (n *Network) buildAvailability(res *Results) {
 }
 
 // AuditInvariants checks the structural invariants that must hold at any
-// event boundary — switch buffer-pool accounting and link credit bounds —
-// plus the admission ledger's exact balance. The soak harness calls it
-// after every epoch; it is independent of the statistical results.
+// event boundary — switch buffer-pool accounting, link credit bounds and
+// packet ownership — plus the admission ledger's exact balance. The soak
+// harness calls it after every epoch; it is independent of the
+// statistical results.
 func (n *Network) AuditInvariants() error {
+	// Every packet a pool handed out and no pool took back must still be
+	// held by a NIC, a switch or a link: a packet returned twice, or one
+	// whose end of life skips its Put, breaks the balance.
+	var taken, returned uint64
+	for _, sh := range n.shards {
+		t, r := sh.pool.Counts()
+		taken, returned = taken+t, returned+r
+	}
+	if staged, inNetwork := n.held(); taken != returned+staged+inNetwork {
+		return fmt.Errorf("network: packet pools handed out %d and took back %d, but %d are staged and %d in the network",
+			taken, returned, staged, inNetwork)
+	}
 	for _, sw := range n.switches {
 		if err := sw.Audit(); err != nil {
 			return err

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"deadlineqos/internal/faults"
+	"deadlineqos/internal/packet"
+	"deadlineqos/internal/policy"
 	"deadlineqos/internal/session"
 	"deadlineqos/internal/units"
 )
@@ -87,5 +89,37 @@ func TestAuditInvariantsAfterFailure(t *testing.T) {
 	}
 	if err := n.AuditInvariants(); err != nil {
 		t.Fatalf("invariant audit: %v", err)
+	}
+}
+
+// TestPacketPoolsBalanceAtEveryEndOfLife drives all six points where a
+// packet's life ends — delivery, CRC drop, duplicate drop, link loss,
+// switch drop and NIC eviction — on two shards, so packets also die on a
+// shard other than the one that emitted them, and checks that the audit's
+// pool balance holds. One packet returned twice must then fail it.
+func TestPacketPoolsBalanceAtEveryEndOfLife(t *testing.T) {
+	cfg := switchFailConfig(2)
+	cfg.Load = 1.0
+	cfg.Policy = policy.ValueDrop(0, false)
+	cfg.Faults.DefaultBER = 1e-6
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := n.Run()
+	c := res.Conservation
+	if err := c.Check(); err != nil {
+		t.Fatalf("conservation: %v", err)
+	}
+	if c.DeliveredUnique == 0 || c.ArrivedCorrupt == 0 || c.ArrivedDup == 0 ||
+		c.LostOnLink == 0 || c.DroppedInSwitch == 0 || c.EvictedAtNIC == 0 {
+		t.Fatalf("scenario misses an end of life: %v", c)
+	}
+	if err := n.AuditInvariants(); err != nil {
+		t.Fatalf("invariant audit: %v", err)
+	}
+	n.shards[1].pool.Put(new(packet.Packet))
+	if err := n.AuditInvariants(); err == nil {
+		t.Fatal("audit passed with one packet returned that no pool handed out")
 	}
 }

@@ -11,8 +11,7 @@
 // Because end-host clocks are not synchronised, the deadline is not
 // transmitted directly. When a packet leaves a node the header carries the
 // time-to-deadline TTD = D − Tlocal; the next hop reconstructs a deadline
-// against its own clock (§3.3). PackTTD and UnpackTTD implement this and
-// count the per-hop header CRC recomputations the mechanism costs.
+// against its own clock (§3.3). PackTTD and UnpackTTD implement this.
 package packet
 
 import (
@@ -98,13 +97,28 @@ const HeaderSize units.Size = 8
 // Packet is one network-level packet. Fields are grouped into wire header
 // fields (visible to switches), host-only fields, and instrumentation kept
 // by the simulator's omniscient observer for statistics — the latter would
-// not exist in hardware.
+// not exist in hardware. The two flags sit in the padding after VC, which
+// keeps the struct at 160 bytes, one of Go's size classes.
+//
+// Packets are recycled (see Pool): code handed a packet it does not own —
+// a hook, a tracer, a control handler — may read it only during the call
+// and must copy whatever it keeps.
 type Packet struct {
 	// Wire header fields.
-	ID       uint64     // unique packet id (simulator-wide)
-	Flow     FlowID     // flow label
-	Class    Class      // traffic class
-	VC       VC         // virtual channel, assigned at the source host
+	ID    uint64 // unique packet id (simulator-wide)
+	Flow  FlowID // flow label
+	Class Class  // traffic class
+	VC    VC     // virtual channel, assigned at the source host
+	// Corrupted marks a payload CRC mismatch accumulated in flight (set
+	// by the fault model's bit-error process). Switches forward corrupted
+	// packets untouched — only the destination NIC's end-to-end CRC check
+	// detects and drops them.
+	Corrupted bool
+	// Sampled marks the packet as selected for lifecycle tracing
+	// (instrumentation). It is decided once at generation (internal/trace
+	// sampling hash) and rides along so every hop can test it with a
+	// single bool load; retransmit copies inherit it by struct copy.
+	Sampled  bool
 	Src, Dst int        // endpoint indices
 	Size     units.Size // total wire size, header included
 	Seq      uint64     // per-flow sequence number, for delivery-order checks
@@ -112,11 +126,6 @@ type Packet struct {
 	TTD      units.Time // time-to-deadline, valid only while in flight on a link
 	Route    []int      // fixed source route: output port to take at hop i
 	Hop      int        // current hop index into Route
-	// Corrupted marks a payload CRC mismatch accumulated in flight (set
-	// by the fault model's bit-error process). Switches forward corrupted
-	// packets untouched — only the destination NIC's end-to-end CRC check
-	// detects and drops them.
-	Corrupted bool
 	// Ctl is an opaque in-band control-plane payload (session
 	// setup/teardown signalling, internal/session). It stands for the
 	// message body a real control packet would carry: switches and links
@@ -138,12 +147,6 @@ type Packet struct {
 	InjectedAt units.Time // when the first byte entered the network
 	FrameID    uint64     // application frame/message this packet belongs to (0 = none)
 	FrameParts int        // Parts(F): packets in that frame
-	CRCRedone  int        // header CRC recomputations caused by TTD updates
-	// Sampled marks the packet as selected for lifecycle tracing. It is
-	// decided once at generation (internal/trace sampling hash) and rides
-	// along so every hop can test it with a single bool load; retransmit
-	// copies inherit it by struct copy.
-	Sampled bool
 }
 
 // String renders a compact single-line description for traces and tests.
@@ -175,10 +178,9 @@ func (p *Packet) PackTTD(localNow units.Time) {
 
 // UnpackTTD reconstructs a deadline against the receiving node's clock:
 // D = TTD + Tlocal. The header CRC covers the TTD field, so each rewrite
-// is counted as one CRC recomputation.
+// costs one header CRC recomputation.
 func (p *Packet) UnpackTTD(localNow units.Time) {
 	p.Deadline = p.TTD + localNow
-	p.CRCRedone++
 }
 
 // Clock is a node-local clock. Each host and switch owns one; they share

@@ -75,9 +75,6 @@ func TestTTDRoundTripNoSkew(t *testing.T) {
 	if p.Deadline != 5010 {
 		t.Fatalf("reconstructed deadline = %v, want 5010", p.Deadline)
 	}
-	if p.CRCRedone != 1 {
-		t.Fatalf("CRCRedone = %d, want 1", p.CRCRedone)
-	}
 }
 
 func TestTTDAbsorbsClockSkew(t *testing.T) {

@@ -148,12 +148,16 @@ func TestLeaseGrowAndReturn(t *testing.T) {
 	cp := res.ControlPlane
 	// A 10% initial lease under all-local load must fill up and trigger
 	// growth requests; the root answers every request (grant or denial
-	// re-grant), so grants exceed the bootstrap count.
+	// re-grant), so grants exceed the bootstrap count. A denial re-grant
+	// counts as a grant too, so only a request not denied shows growth.
 	if cp.LeaseRequests == 0 {
 		t.Fatalf("exhausted lease requested no growth: %+v", cp)
 	}
 	if cp.LeaseGrants <= uint64(cp.Pods) {
 		t.Errorf("no lease growth granted: grants=%d pods=%d", cp.LeaseGrants, cp.Pods)
+	}
+	if cp.LeaseDenied >= cp.LeaseRequests {
+		t.Errorf("the root denied every lease request: denied=%d requests=%d", cp.LeaseDenied, cp.LeaseRequests)
 	}
 	if cp.LocalGrants == 0 {
 		t.Fatalf("no local admissions under all-local load: %+v", cp)
