@@ -39,8 +39,8 @@ type fifoWithinClass struct {
 
 func (fifoWithinClass) Name() string { return "fifo-within-class" }
 
-func (fifoWithinClass) NewHostQueue(a deadlineqos.Arch, vc deadlineqos.VC) deadlineqos.Buffer {
-	return deadlineqos.NewFIFOQueue(deadlineqos.PolicyHostQueueCap, false)
+func (fifoWithinClass) NewHostQueue(a deadlineqos.Arch, vc deadlineqos.VC) deadlineqos.HostQueue {
+	return deadlineqos.NewHostFIFOQueue(deadlineqos.PolicyHostQueueCap)
 }
 
 func run(pol deadlineqos.Policy) (*deadlineqos.Results, error) {

@@ -15,6 +15,10 @@
 //     deadline-ordered. Best-effort injects only when the regulated VC has
 //     nothing ready. Under the Traditional architectures the NIC instead
 //     keeps one FIFO per VC and injects packets as soon as possible.
+//   - Staged records: a packet waits in these queues as an 80-byte
+//     pointer-free record (packet.Staged) holding every stamp emit
+//     computed. The packet itself is built from the record when the link
+//     takes it, so a backlog costs records, not packets (DESIGN.md §5).
 //
 // The receive side models a NIC that drains at line rate: packets are
 // delivered to the application immediately and credits return to the
@@ -84,6 +88,11 @@ type Flow struct {
 	// (SetRogue / SetForge): only admitted traffic misbehaves.
 	Policed bool
 
+	// slot is the host route-table slot that last held Route, a hint
+	// the next emit checks before taking a new slot (routeTable.hold).
+	// It sits in the padding after Policed.
+	slot uint32
+
 	lastDeadline units.Time
 	seq          uint64
 	pol          *police.Policer
@@ -117,7 +126,10 @@ func (s *IDSource) NextFrame() uint64 { s.frame++; return s.frame }
 // Hooks are the instrumentation callbacks a Host reports to (wired to the
 // stats collector). Any may be nil. The packet a hook is handed is valid
 // only during the call: it may be recycled as soon as the hook returns
-// (see packet.Pool), so a hook copies whatever it keeps.
+// (see packet.Pool), so a hook copies whatever it keeps. Before injection
+// a packet exists only as a staged record, so Generated, Policed,
+// Demoted, Retransmitted and Evicted are handed the host's scratch packet,
+// which holds the record's stamps and is overwritten by the next emit.
 type Hooks struct {
 	Generated func(p *packet.Packet)
 	Injected  func(p *packet.Packet, now units.Time)
@@ -136,7 +148,8 @@ type Hooks struct {
 	Policed func(p *packet.Packet, now units.Time, forged bool)
 	// Evicted observes packets a bounded injection queue discarded before
 	// injection (value-drop policies). Such packets were Generated but
-	// never enter the network.
+	// never enter the network: the evicted record is unpacked into the
+	// scratch packet and never becomes a packet.
 	Evicted func(p *packet.Packet, now units.Time)
 }
 
@@ -153,12 +166,16 @@ type Config struct {
 	// paper). Zero disables eligible-time shaping globally.
 	EligibleLead units.Time
 	IDs          *IDSource
-	// Pool recycles packets on the host's shard: emit and retransmit take
-	// packets from it, and the host returns every packet whose life ends
-	// here (delivery, CRC drop, duplicate drop, NIC eviction). Nil
-	// allocates every packet and recycles none.
-	Pool  *packet.Pool
-	Hooks Hooks
+	// Pool recycles packets on the host's shard: injection takes the
+	// packet a staged record becomes from it, and the host returns every
+	// packet whose life ends here (delivery, CRC drop, duplicate drop).
+	// Nil allocates every packet and recycles none.
+	Pool *packet.Pool[packet.Packet]
+	// Records is the shard's free list of staged records: emit and
+	// retransmit take one per packet, and injection and eviction return
+	// it. Nil gives the host a free list of its own.
+	Records *packet.Pool[packet.Staged]
+	Hooks   Hooks
 	// Reliability configures the end-to-end retransmission layer (see
 	// reliability.go); the zero value disables it.
 	Reliability Reliability
@@ -190,16 +207,23 @@ type Host struct {
 	cfg     Config
 	pol     policy.Policy
 	out     *link.Link                // toward the leaf switch
-	canSend func(*packet.Packet) bool // h.out.CanSend, bound once at connect
+	canSend func(*packet.Staged) bool // h.out's credit check, bound once at connect
 
 	flows map[packet.FlowID]*Flow
 
-	// Regulated-VC staging: packets waiting for their eligible time,
+	// scratch is the packet emit and retransmit stamp, and what hooks and
+	// the tracer see of a record before injection and at eviction.
+	scratch packet.Packet
+	// Regulated-VC staging: records waiting for their eligible time,
 	// ordered by eligible time.
 	elig eligHeap
 	// Ready queues, one per VC: deadline-ordered for EDF architectures,
 	// FIFO for Traditional.
-	ready [packet.NumVCs]pqueue.Buffer
+	ready [packet.NumVCs]policy.HostQueue
+	// What a record cannot hold: the routes of staged records, by the
+	// slot index each record keeps, and Ctl payloads by packet id.
+	routes routeTable
+	ctl    map[uint64]any
 
 	wake   sim.Handle // pending eligibility wake-up
 	wakeAt units.Time // oracle time the pending wake-up fires
@@ -232,13 +256,16 @@ func New(cfg Config) *Host {
 	if cfg.Reliability.Enabled {
 		cfg.Reliability = cfg.Reliability.WithDefaults()
 	}
+	if cfg.Records == nil {
+		cfg.Records = new(packet.Pool[packet.Staged])
+	}
 	h := &Host{cfg: cfg, pol: cfg.Policy, flows: make(map[packet.FlowID]*Flow)}
 	if h.pol == nil {
 		h.pol = policy.Default()
 	}
 	for vc := 0; vc < packet.NumVCs; vc++ {
 		h.ready[vc] = h.pol.NewHostQueue(cfg.Arch, packet.VC(vc))
-		if ev, ok := h.ready[vc].(pqueue.Evictor); ok {
+		if ev, ok := h.ready[vc].(pqueue.Evictor[*packet.Staged]); ok {
 			ev.SetOnEvict(h.onEvict)
 		}
 	}
@@ -255,7 +282,7 @@ func (h *Host) ID() int { return h.cfg.ID }
 // ConnectOut wires the injection link and hooks its readiness callback.
 func (h *Host) ConnectOut(l *link.Link) {
 	h.out = l
-	h.canSend = func(p *packet.Packet) bool { return l.CanSend(p) }
+	h.canSend = func(r *packet.Staged) bool { return l.Idle() && l.Credits(r.VC) >= units.Size(r.Size) }
 	l.OnReady = func() { h.tryInject() }
 }
 
@@ -354,11 +381,11 @@ func (h *Host) SubmitCtl(flowID packet.FlowID, payload units.Size, ctl any) {
 func (h *Host) SetCtlHandler(fn func(p *packet.Packet)) { h.onCtl = fn }
 
 // emit stamps one packet of a message — deadline calculus (§3.1),
-// eligible time, tracing, generation hook — and stages it for injection.
-// ctl, when non-nil, rides the packet as an in-band control payload.
-// Callers follow up with tryInject.
+// eligible time, tracing, generation hook — into the scratch packet and
+// stages it for injection as a record. ctl, when non-nil, rides the
+// packet as an in-band control payload. Callers follow up with tryInject.
 func (h *Host) emit(f *Flow, chunk units.Size, frameID uint64, parts int, ctl any, now units.Time) {
-	p := h.cfg.Pool.Get()
+	p := &h.scratch
 	*p = packet.Packet{
 		ID:         h.cfg.IDs.NextPacket(),
 		Flow:       f.ID,
@@ -464,22 +491,24 @@ func (h *Host) emit(f *Flow, chunk units.Size, frameID uint64, parts int, ctl an
 	if verdict != police.Conform && h.cfg.Hooks.Policed != nil {
 		h.cfg.Hooks.Policed(p, now, verdict == police.Forged)
 	}
-	h.stage(p, now)
+	h.stage(p, f, now)
 }
 
-// stage places a freshly stamped packet into the eligibility or ready
-// queue. The Traditional architecture ignores eligible times (they are
-// part of the paper's proposal, not of PCI AS).
-func (h *Host) stage(p *packet.Packet, localNow units.Time) {
-	if h.cfg.Arch.DeadlineAware() && p.Eligible > localNow {
+// stage turns the freshly stamped packet p of flow f into a record and
+// places it into the eligibility or ready queue. The Traditional
+// architecture ignores eligible times (they are part of the paper's
+// proposal, not of PCI AS).
+func (h *Host) stage(p *packet.Packet, f *Flow, localNow units.Time) {
+	r := h.record(p, f)
+	if h.cfg.Arch.DeadlineAware() && r.Eligible > localNow {
 		if h.cfg.Tracer != nil && p.Sampled {
 			h.traceEvt(trace.KindEligibleHold, p)
 		}
-		h.elig.push(p)
+		h.elig.push(r)
 		h.armWake()
 		return
 	}
-	h.ready[p.VC].Push(p)
+	h.ready[r.VC].Push(r)
 }
 
 // armWake schedules the next eligibility promotion event, replacing any
@@ -521,17 +550,17 @@ func (h *Host) Fire(kind sim.Kind, _ *packet.Packet, a, b uint64) {
 	}
 }
 
-// promoteEligible moves packets whose eligible time has come into their
+// promoteEligible moves records whose eligible time has come into their
 // ready queue.
 func (h *Host) promoteEligible() {
 	now := h.cfg.Clock.Now()
 	for {
-		p := h.elig.peek()
-		if p == nil || p.Eligible > now {
+		r := h.elig.peek()
+		if r == nil || r.Eligible > now {
 			break
 		}
 		h.elig.pop()
-		h.ready[p.VC].Push(p)
+		h.ready[r.VC].Push(r)
 	}
 	if h.elig.len() > 0 && !h.wake.Pending() {
 		h.armWake()
@@ -544,7 +573,8 @@ func (h *Host) promoteEligible() {
 // when the regulated VC has no transmittable packet (packets still waiting
 // for eligibility do not block best-effort), and under Traditional the
 // FIFO heads of both VCs offered in VC order (regulated classes first,
-// matching a typical AS host adapter configuration).
+// matching a typical AS host adapter configuration). The packet is built
+// here, from the record the link takes, and the record is freed.
 func (h *Host) tryInject() {
 	if h.out == nil {
 		return
@@ -555,7 +585,8 @@ func (h *Host) tryInject() {
 		if vc < 0 {
 			return
 		}
-		p := h.ready[vc].Pop()
+		p := h.cfg.Pool.Get()
+		h.unstage(h.ready[vc].Pop(), p)
 		p.InjectedAt = h.cfg.Eng.Now()
 		if h.cfg.Tracer != nil && p.Sampled {
 			h.traceEvt(trace.KindInjected, p)
@@ -574,19 +605,20 @@ func (h *Host) tryInject() {
 	}
 }
 
-// onEvict accounts a packet a bounded ready queue discarded: the packet
+// onEvict accounts a record a bounded ready queue discarded: its packet
 // was Generated but never injected, so the conservation invariant needs
 // the dedicated eviction term (faults.Conservation.EvictedAtNIC). Fires
-// synchronously from inside a ready-queue Push; the packet's life ends
-// here.
-func (h *Host) onEvict(p *packet.Packet) {
+// synchronously from inside a ready-queue Push; the record's life ends
+// here, and the tracer and the hook see it in the scratch packet.
+func (h *Host) onEvict(r *packet.Staged) {
+	p := &h.scratch
+	h.unstage(r, p)
 	if h.cfg.Tracer != nil && p.Sampled {
 		h.traceEvt(trace.KindNICEvict, p)
 	}
 	if h.cfg.Hooks.Evicted != nil {
 		h.cfg.Hooks.Evicted(p, h.cfg.Eng.Now())
 	}
-	h.cfg.Pool.Put(p)
 }
 
 // Receive implements link.Receiver for the host's downlink: the NIC drains
@@ -704,7 +736,7 @@ func (h *Host) SetForge(scale float64) { h.forge = scale }
 // host's receive side (the link itself, or a parsim cross-shard portal).
 func (h *Host) SetUpstream(cr link.CreditReturner) { h.upstream = cr }
 
-// Pending returns the number of packets staged in the NIC (both queues),
+// Pending returns the number of records staged in the NIC (both queues),
 // for drain checks and diagnostics.
 func (h *Host) Pending() int {
 	n := h.elig.len()
@@ -719,10 +751,10 @@ func (h *Host) Received() uint64 { return h.received }
 
 // --- eligibility heap ----------------------------------------------------
 
-// eligHeap orders staged packets by eligible time (ties by packet id, for
+// eligHeap orders staged records by eligible time (ties by packet id, for
 // determinism).
 type eligHeap struct {
-	items []*packet.Packet
+	items []*packet.Staged
 }
 
 func (e *eligHeap) len() int { return len(e.items) }
@@ -735,8 +767,8 @@ func (e *eligHeap) less(i, j int) bool {
 	return a.ID < b.ID
 }
 
-func (e *eligHeap) push(p *packet.Packet) {
-	e.items = append(e.items, p)
+func (e *eligHeap) push(r *packet.Staged) {
+	e.items = append(e.items, r)
 	i := len(e.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -748,7 +780,7 @@ func (e *eligHeap) push(p *packet.Packet) {
 	}
 }
 
-func (e *eligHeap) peek() *packet.Packet {
+func (e *eligHeap) peek() *packet.Staged {
 	if len(e.items) == 0 {
 		return nil
 	}
@@ -762,7 +794,7 @@ func (e *eligHeap) minEligible() units.Time {
 	return e.items[0].Eligible
 }
 
-func (e *eligHeap) pop() *packet.Packet {
+func (e *eligHeap) pop() *packet.Staged {
 	n := len(e.items)
 	if n == 0 {
 		return nil

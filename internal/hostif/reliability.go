@@ -278,12 +278,14 @@ func (h *Host) handleAck(flow packet.FlowID, seq uint64, ok bool) {
 
 // retransmit queues a fresh copy of a tracked packet, re-stamped through
 // the flow's deadline calculus and demoted to best-effort after too many
-// retries. e is f's entry.
+// retries. e is f's entry. The copy is stamped in the scratch packet and
+// staged as a record, which keeps the snapshot's route and Ctl payload.
 func (h *Host) retransmit(f *Flow, e *relEntry) {
 	e.retries++
 	h.relCnt.Retransmitted++
 
-	cp := e.pkt
+	cp := &h.scratch
+	*cp = e.pkt
 	cp.ID = h.cfg.IDs.NextPacket()
 	cp.Hop = 0
 	cp.Corrupted = false
@@ -314,29 +316,28 @@ func (h *Host) retransmit(f *Flow, e *relEntry) {
 		e.demoted = true
 		h.relCnt.Demoted++
 		if h.cfg.Tracer != nil && cp.Sampled {
-			h.traceEvt(trace.KindDemoted, &cp)
+			h.traceEvt(trace.KindDemoted, cp)
 		}
 		if h.cfg.Hooks.Demoted != nil {
-			h.cfg.Hooks.Demoted(&cp, h.cfg.Eng.Now())
+			h.cfg.Hooks.Demoted(cp, h.cfg.Eng.Now())
 		}
 	}
 	if e.demoted {
 		cp.VC = h.cfg.Arch.VCFor(packet.BestEffort)
 	}
-	e.pkt = cp
+	e.pkt = *cp
 	e.queued = true
 
-	pc := h.cfg.Pool.Get()
-	*pc = cp
-	if h.cfg.Tracer != nil && pc.Sampled {
+	if h.cfg.Tracer != nil && cp.Sampled {
 		// The copy inherits the original's sampling decision through the
 		// Sampled bit in the tracked snapshot.
-		h.traceEvt(trace.KindRetransmit, pc)
+		h.traceEvt(trace.KindRetransmit, cp)
 	}
 	if h.cfg.Hooks.Retransmitted != nil {
-		h.cfg.Hooks.Retransmitted(pc, h.cfg.Eng.Now())
+		h.cfg.Hooks.Retransmitted(cp, h.cfg.Eng.Now())
 	}
-	h.ready[pc.VC].Push(pc)
+	r := h.record(cp, f)
+	h.ready[r.VC].Push(r)
 	h.tryInject()
 }
 

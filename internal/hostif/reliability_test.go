@@ -121,14 +121,20 @@ func driveSender(t *testing.T, ops []byte) {
 	now := func() units.Time { return win.cfg.Eng.Now() }
 	takeCopy := func(i int, vc int) {
 		w, r := win.ready[vc].Pop(), ref.h.ready[vc].Pop()
-		if !reflect.DeepEqual(w, r) {
-			t.Fatalf("op %d: queued copy %+v, reference %+v", i, w, r)
+		if (w == nil) != (r == nil) {
+			t.Fatalf("op %d: queued copy %v, reference %v", i, w, r)
 		}
 		if w != nil {
-			win.trackInjected(w)
-			ref.track(r)
-			fi := int(w.Flow) - 1
-			injected[fi] = append(injected[fi], w.Seq)
+			var wp, rp packet.Packet
+			win.unstage(w, &wp)
+			ref.h.unstage(r, &rp)
+			if !reflect.DeepEqual(wp, rp) {
+				t.Fatalf("op %d: queued copy %+v, reference %+v", i, wp, rp)
+			}
+			win.trackInjected(&wp)
+			ref.track(&rp)
+			fi := int(wp.Flow) - 1
+			injected[fi] = append(injected[fi], wp.Seq)
 		}
 	}
 	for i, b := range ops {
@@ -292,7 +298,7 @@ func TestReliableCycleAllocatesOnlyThePacket(t *testing.T) {
 // packet for the sender's next emit.
 func TestPooledDeliveryCycleAllocatesNothing(t *testing.T) {
 	eng := sim.New()
-	pool := new(packet.Pool)
+	pool := new(packet.Pool[packet.Packet])
 	newHost := func(id int) *Host {
 		return New(Config{
 			Eng: eng, Clock: packet.Clock{Base: eng.Now}, ID: id, Arch: arch.Advanced2VC,

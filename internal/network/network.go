@@ -132,8 +132,11 @@ type netShard struct {
 	mtr           *shardMetrics     // nil unless Config.Metrics is set
 	links         []*link.Link      // the links this shard sends on
 	// pool recycles the packets whose life ends on this shard; its hosts
-	// emit from it (DESIGN.md §5, packet ownership).
-	pool *packet.Pool
+	// inject from it (DESIGN.md §5, packet ownership). records is the
+	// free list of the records its hosts stage packets in until
+	// injection.
+	pool    *packet.Pool[packet.Packet]
+	records *packet.Pool[packet.Staged]
 }
 
 // Network is a fully wired simulation. Build one with New, then call Run,
@@ -273,7 +276,8 @@ func New(cfg Config) (*Network, error) {
 		sh := &netShard{
 			eng:     sim.New(),
 			collect: stats.NewCollector(n.topo.Hosts(), cfg.LinkBW, cfg.WarmUp, cfg.WarmUp+cfg.Measure),
-			pool:    new(packet.Pool),
+			pool:    new(packet.Pool[packet.Packet]),
+			records: new(packet.Pool[packet.Staged]),
 		}
 		if n.nshards == 1 {
 			sh.tracer = rootTracer
@@ -388,6 +392,7 @@ func New(cfg Config) (*Network, error) {
 			// count.
 			IDs:         hostif.NewIDSource(uint64(h+1) << 40),
 			Pool:        sh.pool,
+			Records:     sh.records,
 			Policy:      n.pol,
 			Hooks:       hooks[n.hostShard[h]],
 			Reliability: cfg.Reliability,

@@ -116,21 +116,30 @@ func (n *Network) buildAvailability(res *Results) {
 
 // AuditInvariants checks the structural invariants that must hold at any
 // event boundary — switch buffer-pool accounting, link credit bounds and
-// packet ownership — plus the admission ledger's exact balance. The soak
-// harness calls it after every epoch; it is independent of the
-// statistical results.
+// the ownership of records and packets — plus the admission ledger's
+// exact balance. The soak harness calls it after every epoch; it is
+// independent of the statistical results.
 func (n *Network) AuditInvariants() error {
-	// Every packet a pool handed out and no pool took back must still be
-	// held by a NIC, a switch or a link: a packet returned twice, or one
-	// whose end of life skips its Put, breaks the balance.
-	var taken, returned uint64
+	// Two censuses. Every record a free list handed out and none took
+	// back must still be staged at a NIC, and every packet a pool handed
+	// out and none took back must still be held by a switch or a link:
+	// an end of life that skips its Put, or a Put of an item no pool
+	// handed out, breaks a balance.
+	var pTaken, pReturned, rTaken, rReturned uint64
 	for _, sh := range n.shards {
 		t, r := sh.pool.Counts()
-		taken, returned = taken+t, returned+r
+		pTaken, pReturned = pTaken+t, pReturned+r
+		t, r = sh.records.Counts()
+		rTaken, rReturned = rTaken+t, rReturned+r
 	}
-	if staged, inNetwork := n.held(); taken != returned+staged+inNetwork {
-		return fmt.Errorf("network: packet pools handed out %d and took back %d, but %d are staged and %d in the network",
-			taken, returned, staged, inNetwork)
+	staged, inNetwork := n.held()
+	if rTaken != rReturned+staged {
+		return fmt.Errorf("network: record free lists handed out %d and took back %d, but %d are staged",
+			rTaken, rReturned, staged)
+	}
+	if pTaken != pReturned+inNetwork {
+		return fmt.Errorf("network: packet pools handed out %d and took back %d, but %d are in the network",
+			pTaken, pReturned, inNetwork)
 	}
 	for _, sw := range n.switches {
 		if err := sw.Audit(); err != nil {

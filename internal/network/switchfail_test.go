@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 
 	"deadlineqos/internal/faults"
@@ -96,7 +97,9 @@ func TestAuditInvariantsAfterFailure(t *testing.T) {
 // packet's life ends — delivery, CRC drop, duplicate drop, link loss,
 // switch drop and NIC eviction — on two shards, so packets also die on a
 // shard other than the one that emitted them, and checks that the audit's
-// pool balance holds. One packet returned twice must then fail it.
+// two censuses hold: records against the NICs' staged backlog, packets
+// against the fabric. NIC eviction ends a record, which never became a
+// packet. One record, then one packet, returned twice must each fail it.
 func TestPacketPoolsBalanceAtEveryEndOfLife(t *testing.T) {
 	cfg := switchFailConfig(2)
 	cfg.Load = 1.0
@@ -118,8 +121,16 @@ func TestPacketPoolsBalanceAtEveryEndOfLife(t *testing.T) {
 	if err := n.AuditInvariants(); err != nil {
 		t.Fatalf("invariant audit: %v", err)
 	}
+	n.shards[1].records.Put(new(packet.Staged))
+	if err := n.AuditInvariants(); err == nil || !strings.Contains(err.Error(), "record") {
+		t.Fatalf("audit passed with one record returned that no free list handed out (%v)", err)
+	}
+	n.shards[1].records.Get() // rebalance the records
+	if err := n.AuditInvariants(); err != nil {
+		t.Fatalf("invariant audit after rebalancing the records: %v", err)
+	}
 	n.shards[1].pool.Put(new(packet.Packet))
-	if err := n.AuditInvariants(); err == nil {
-		t.Fatal("audit passed with one packet returned that no pool handed out")
+	if err := n.AuditInvariants(); err == nil || !strings.Contains(err.Error(), "packet pools") {
+		t.Fatalf("audit passed with one packet returned that no pool handed out (%v)", err)
 	}
 }

@@ -15,7 +15,7 @@ func TestPacketFitsItsSizeClass(t *testing.T) {
 }
 
 func TestPoolRecyclesZeroedPackets(t *testing.T) {
-	var pl Pool
+	var pl Pool[Packet]
 	p := pl.Get()
 	p.ID, p.Flow, p.Route, p.Ctl, p.Sampled = 7, 3, []int{1, 2}, "msg", true
 	pl.Put(p)
@@ -34,7 +34,7 @@ func TestPoolRecyclesZeroedPackets(t *testing.T) {
 }
 
 func TestNilPoolAllocates(t *testing.T) {
-	var pl *Pool
+	var pl *Pool[Packet]
 	p := pl.Get()
 	p.ID = 9
 	pl.Put(p)

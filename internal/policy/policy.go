@@ -7,7 +7,8 @@
 //
 //   - which buffer discipline each host injection queue uses (NewHostQueue,
 //     including bounded queues that may evict under pressure — see
-//     pqueue.DropQueue),
+//     pqueue.DropQueue); host queues hold the NIC's staged records
+//     (packet.Staged), not packets,
 //   - which ready VC the NIC injects from next (PickInject),
 //   - which candidate a switch output port grants, at the crossbar and at
 //     the link (NewArbiter).
@@ -19,10 +20,10 @@
 // functions of their visible inputs (queue heads, candidate lists, their
 // own per-port state created by NewArbiter). They must not read clocks,
 // random sources, or global state, and they must not retain or mutate
-// packets beyond the decision — this is what keeps results byte-identical
-// at any shard count. The nil policy (Config fields left nil) costs
-// nothing extra: the default implementations below replicate the seed
-// EDF-takeover behaviour instruction for instruction.
+// packets or staged records beyond the decision — this is what keeps
+// results byte-identical at any shard count. The nil policy (Config
+// fields left nil) costs nothing extra: the default implementations below
+// replicate the seed EDF-takeover behaviour instruction for instruction.
 //
 // Three policies ship built in:
 //
@@ -60,21 +61,26 @@ const HostQueueCap = units.Size(math.MaxInt64 / 4)
 // host-memory queueing.
 const DefaultDropBound = 64 * units.Kilobyte
 
+// HostQueue is the injection ready queue of one NIC VC. A packet waits in
+// it as a staged record (packet.Staged) from emit until the link takes
+// it; the packet itself is built only then (DESIGN.md §5).
+type HostQueue = pqueue.Queue[*packet.Staged]
+
 // Policy is one scheduling policy. Implementations must be stateless and
 // reusable across hosts, switches and runs: all mutable per-port state
-// lives in the Arbiter instances NewArbiter returns and the Buffer
+// lives in the Arbiter instances NewArbiter returns and the HostQueue
 // instances NewHostQueue returns.
 type Policy interface {
 	// Name identifies the policy in results, metrics and CLI flags.
 	Name() string
 	// NewHostQueue builds the injection ready queue of one host VC.
-	NewHostQueue(a arch.Arch, vc packet.VC) pqueue.Buffer
+	NewHostQueue(a arch.Arch, vc packet.VC) HostQueue
 	// PickInject chooses the ready VC the NIC injects from next, given
 	// the per-VC ready queues and the link's credit check for a head
-	// packet. It returns -1 when nothing can be injected. The credit rule
+	// record. It returns -1 when nothing can be injected. The credit rule
 	// of the paper's appendix applies: only each queue's Head may be
-	// checked, never another stored packet.
-	PickInject(ready *[packet.NumVCs]pqueue.Buffer, canSend func(*packet.Packet) bool) int
+	// checked, never another stored record.
+	PickInject(ready *[packet.NumVCs]HostQueue, canSend func(*packet.Staged) bool) int
 	// NewArbiter builds the per-output-port arbitration state of one
 	// switch port.
 	NewArbiter(cfg ArbiterConfig) Arbiter
@@ -159,18 +165,18 @@ func Default() Policy { return defaultPolicy{} }
 
 func (defaultPolicy) Name() string { return "default" }
 
-func (defaultPolicy) NewHostQueue(a arch.Arch, vc packet.VC) pqueue.Buffer {
+func (defaultPolicy) NewHostQueue(a arch.Arch, vc packet.VC) HostQueue {
 	if a.DeadlineAware() {
-		return pqueue.NewHeap(HostQueueCap, false)
+		return pqueue.NewHeap[*packet.Staged](HostQueueCap, false)
 	}
-	return pqueue.NewFIFO(HostQueueCap, false)
+	return pqueue.NewFIFO[*packet.Staged](HostQueueCap, false)
 }
 
-func (defaultPolicy) PickInject(ready *[packet.NumVCs]pqueue.Buffer, canSend func(*packet.Packet) bool) int {
+func (defaultPolicy) PickInject(ready *[packet.NumVCs]HostQueue, canSend func(*packet.Staged) bool) int {
 	// Regulated VCs first (§3.2): best-effort injects only when no lower
 	// VC has a transmittable head.
 	for vc := 0; vc < packet.NumVCs; vc++ {
-		if p := ready[vc].Head(); p != nil && canSend(p) {
+		if r := ready[vc].Head(); r != nil && canSend(r) {
 			return vc
 		}
 	}
@@ -307,12 +313,12 @@ func (v valueDropPolicy) Name() string {
 	return "value-drop"
 }
 
-func (v valueDropPolicy) NewHostQueue(a arch.Arch, vc packet.VC) pqueue.Buffer {
+func (v valueDropPolicy) NewHostQueue(a arch.Arch, vc packet.VC) HostQueue {
 	// Only the VCs carrying best-effort classes are bounded. Under the
 	// 2-VC mappings that is VC 1; under Traditional4VC the per-class
 	// mapping puts BestEffort and Background on VCs 2 and 3.
 	if int(vc) < a.VCs() && vc >= a.VCFor(packet.BestEffort) {
-		return pqueue.NewDropQueue(v.bound, v.tail, a.DeadlineAware())
+		return pqueue.NewDropQueue[*packet.Staged](v.bound, v.tail, a.DeadlineAware())
 	}
 	return v.defaultPolicy.NewHostQueue(a, vc)
 }

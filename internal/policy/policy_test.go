@@ -58,11 +58,11 @@ func TestDefaultHostQueues(t *testing.T) {
 	// in FIFOs — exactly the seed NIC's wiring.
 	for vc := 0; vc < packet.NumVCs; vc++ {
 		q := Default().NewHostQueue(arch.Advanced2VC, packet.VC(vc))
-		if _, ok := q.(*pqueue.DeadlineHeap); !ok {
+		if _, ok := q.(*pqueue.DeadlineHeap[*packet.Staged]); !ok {
 			t.Fatalf("Advanced2VC VC %d staged in %T, want heap", vc, q)
 		}
 		q = Default().NewHostQueue(arch.Traditional2VC, packet.VC(vc))
-		if _, ok := q.(*pqueue.Fifo); !ok {
+		if _, ok := q.(*pqueue.Fifo[*packet.Staged]); !ok {
 			t.Fatalf("Traditional2VC VC %d staged in %T, want FIFO", vc, q)
 		}
 	}
@@ -74,7 +74,7 @@ func TestValueDropHostQueues(t *testing.T) {
 	pol := ValueDrop(0, false)
 	for vc := 0; vc < packet.NumVCs; vc++ {
 		q := pol.NewHostQueue(arch.Advanced2VC, packet.VC(vc))
-		_, bounded := q.(*pqueue.DropQueue)
+		_, bounded := q.(*pqueue.DropQueue[*packet.Staged])
 		wantBounded := vc < arch.Advanced2VC.VCs() && packet.VC(vc) >= arch.Advanced2VC.VCFor(packet.BestEffort)
 		if bounded != wantBounded {
 			t.Fatalf("Advanced2VC VC %d: bounded=%v, want %v (%T)", vc, bounded, wantBounded, q)
@@ -92,28 +92,28 @@ func TestPickInjectMatchesSeedOrder(t *testing.T) {
 	// The default policy injects from the lowest-numbered VC whose head
 	// the link accepts — the seed NIC's loop.
 	pol := Default()
-	var ready [packet.NumVCs]pqueue.Buffer
+	var ready [packet.NumVCs]HostQueue
 	for vc := range ready {
 		ready[vc] = pol.NewHostQueue(arch.Advanced2VC, packet.VC(vc))
 	}
-	mk := func(vc int, deadline units.Time) *packet.Packet {
-		p := &packet.Packet{ID: uint64(vc*100) + uint64(deadline), Deadline: deadline, Size: 64, VC: packet.VC(vc)}
-		ready[vc].Push(p)
-		return p
+	mk := func(vc int, deadline units.Time) *packet.Staged {
+		r := &packet.Staged{ID: uint64(vc*100) + uint64(deadline), Deadline: deadline, Size: 64, VC: packet.VC(vc)}
+		ready[vc].Push(r)
+		return r
 	}
-	if got := pol.PickInject(&ready, func(*packet.Packet) bool { return true }); got != -1 {
+	if got := pol.PickInject(&ready, func(*packet.Staged) bool { return true }); got != -1 {
 		t.Fatalf("empty NIC picked VC %d", got)
 	}
 	mk(1, 50)
-	p0 := mk(0, 90)
-	if got := pol.PickInject(&ready, func(*packet.Packet) bool { return true }); got != 0 {
+	r0 := mk(0, 90)
+	if got := pol.PickInject(&ready, func(*packet.Staged) bool { return true }); got != 0 {
 		t.Fatalf("picked VC %d, want regulated VC 0 first", got)
 	}
 	// Block VC 0 (no credit): VC 1 must be picked instead.
-	if got := pol.PickInject(&ready, func(p *packet.Packet) bool { return p != p0 }); got != 1 {
+	if got := pol.PickInject(&ready, func(r *packet.Staged) bool { return r != r0 }); got != 1 {
 		t.Fatalf("picked VC %d, want 1 when VC 0 is blocked", got)
 	}
-	if got := pol.PickInject(&ready, func(*packet.Packet) bool { return false }); got != -1 {
+	if got := pol.PickInject(&ready, func(*packet.Staged) bool { return false }); got != -1 {
 		t.Fatalf("picked VC %d with all heads blocked", got)
 	}
 }

@@ -5,23 +5,24 @@ import (
 	"deadlineqos/internal/units"
 )
 
-// Evictor is the optional Buffer extension implemented by bounded queues
-// that may discard stored (or arriving) packets instead of panicking on
+// Evictor is the optional Queue extension implemented by bounded queues
+// that may discard stored (or arriving) entries instead of panicking on
 // overflow. The NIC discovers it by type assertion and installs the
 // eviction callback so dropped packets stay accounted in the conservation
 // invariant and statistics.
-type Evictor interface {
-	// SetOnEvict installs the callback invoked for every packet the queue
-	// discards, after the packet has been removed from the queue (nil to
+type Evictor[E Entry] interface {
+	// SetOnEvict installs the callback invoked for every entry the queue
+	// discards, after the entry has been removed from the queue (nil to
 	// remove). The callback must not re-enter the queue.
-	SetOnEvict(fn func(*packet.Packet))
-	// Evicted returns how many packets and bytes the queue has discarded.
-	Evicted() (packets uint64, bytes units.Size)
+	SetOnEvict(fn func(E))
+	// Evicted returns how many entries and bytes the queue has discarded.
+	Evicted() (entries uint64, bytes units.Size)
 }
 
-// DropQueue is a bounded packet buffer for best-effort traffic that sheds
-// load instead of relying on upstream flow control: when a push would
-// exceed the byte capacity it discards packets until the arrival fits.
+// DropQueue is a bounded buffer for best-effort traffic that sheds load
+// instead of relying on upstream flow control: when a push would exceed
+// the byte capacity it discards entries until the arrival fits. NICs
+// bound their best-effort injection queues with it (policy.ValueDrop).
 //
 // Two shedding rules are supported:
 //
@@ -39,136 +40,148 @@ type Evictor interface {
 // point of the queue is that n stays small (capacity / packet size), and
 // a flat slice keeps eviction — which needs arbitrary removal, something
 // the heap and take-over disciplines cannot do — trivially deterministic.
-type DropQueue struct {
-	base
-	entries []seqEntry // seq: FIFO position and EDF/eviction tie-break
+type DropQueue[E Entry] struct {
+	base[E]
+	entries []dropEntry[E]
 	edf     bool
 	tail    bool
 	evicted uint64
 	evBytes units.Size
-	onEvict func(*packet.Packet)
+	onEvict func(E)
+}
+
+// dropEntry is a stored entry with its arrival order: the FIFO position
+// and the EDF and eviction tie-break.
+type dropEntry[E Entry] struct {
+	e   E
+	seq uint64
 }
 
 // NewDropQueue returns an empty bounded queue of the given byte capacity.
 // edf selects stable-EDF dequeue order, otherwise FIFO; tail selects the
 // tail-drop shedding rule, otherwise value-density eviction.
-func NewDropQueue(capacity units.Size, tail, edf bool) *DropQueue {
-	return &DropQueue{base: base{capacity: capacity}, edf: edf, tail: tail}
+func NewDropQueue[E Entry](capacity units.Size, tail, edf bool) *DropQueue[E] {
+	return &DropQueue[E]{base: base[E]{capacity: capacity}, edf: edf, tail: tail}
 }
 
 // SetOnEvict installs the eviction callback.
-func (d *DropQueue) SetOnEvict(fn func(*packet.Packet)) { d.onEvict = fn }
+func (d *DropQueue[E]) SetOnEvict(fn func(E)) { d.onEvict = fn }
 
-// Evicted returns the discarded packet and byte totals.
-func (d *DropQueue) Evicted() (uint64, units.Size) { return d.evicted, d.evBytes }
+// Evicted returns the discarded entry and byte totals.
+func (d *DropQueue[E]) Evicted() (uint64, units.Size) { return d.evicted, d.evBytes }
 
-// denserEq reports whether packet a has value density (Value/Size) greater
-// than or equal to b's, by integer cross-multiplication so the comparison
-// is exact and shard-independent.
-func denserEq(a, b *packet.Packet) bool {
+// denserEq reports whether stamps a have value density (Value/Size)
+// greater than or equal to b's, by integer cross-multiplication so the
+// comparison is exact and shard-independent.
+func denserEq(a, b packet.Stamps) bool {
 	return a.Value*int64(b.Size) >= b.Value*int64(a.Size)
 }
 
-// Push stores p, discarding packets per the shedding rule if it does not
+// Push stores e, discarding entries per the shedding rule if it does not
 // fit. Unlike the flow-controlled disciplines it never panics.
-func (d *DropQueue) Push(p *packet.Packet) {
-	for d.bytes+p.Size > d.capacity {
+func (d *DropQueue[E]) Push(e E) {
+	s := e.Stamps()
+	for d.bytes+s.Size > d.capacity {
 		if d.tail || len(d.entries) == 0 {
 			// Tail drop, or an arrival larger than the whole queue.
-			d.drop(p)
+			d.drop(e, s.Size)
 			return
 		}
-		// Lowest density among stored packets; ties keep the older one.
-		victim := 0
+		// Lowest density among stored entries; ties keep the older one.
+		victim, least := 0, d.entries[0].e.Stamps()
 		for i := 1; i < len(d.entries); i++ {
-			if !denserEq(d.entries[i].p, d.entries[victim].p) {
-				victim = i
+			if si := d.entries[i].e.Stamps(); !denserEq(si, least) {
+				victim, least = i, si
 			}
 		}
-		if denserEq(d.entries[victim].p, p) {
+		if denserEq(least, s) {
 			// The arrival itself is the least dense (ties count against
 			// it, the youngest): shed it, keep the queue.
-			d.drop(p)
+			d.drop(e, s.Size)
 			return
 		}
 		d.removeAt(victim, true)
 	}
-	d.pushAccounting(p, "drop")
-	d.entries = append(d.entries, seqEntry{p, d.arrivalSeq})
+	d.pushAccounting(s.Size, "drop")
+	d.entries = append(d.entries, dropEntry[E]{e, d.arrivalSeq})
 	d.arrivalSeq++
 }
 
-// drop sheds an arriving packet that was never stored.
-func (d *DropQueue) drop(p *packet.Packet) {
+// drop sheds an arriving entry of the given size that was never stored.
+func (d *DropQueue[E]) drop(e E, size units.Size) {
 	d.evicted++
-	d.evBytes += p.Size
+	d.evBytes += size
 	if d.onEvict != nil {
-		d.onEvict(p)
+		d.onEvict(e)
 	}
 }
 
 // removeAt deletes entry i preserving arrival order. With evict set the
-// packet counts as discarded and the callback fires.
-func (d *DropQueue) removeAt(i int, evict bool) *packet.Packet {
-	p := d.entries[i].p
+// entry counts as discarded and the callback fires.
+func (d *DropQueue[E]) removeAt(i int, evict bool) E {
+	e := d.entries[i].e
 	copy(d.entries[i:], d.entries[i+1:])
-	d.entries[len(d.entries)-1] = seqEntry{}
+	d.entries[len(d.entries)-1] = dropEntry[E]{}
 	d.entries = d.entries[:len(d.entries)-1]
 	if evict {
-		d.bytes -= p.Size
+		size := e.Stamps().Size
+		d.bytes -= size
 		d.evicted++
-		d.evBytes += p.Size
+		d.evBytes += size
 		if d.onEvict != nil {
-			d.onEvict(p)
+			d.onEvict(e)
 		}
 	}
-	return p
+	return e
 }
 
 // headIndex returns the index Head/Pop would emit, or -1 when empty.
-func (d *DropQueue) headIndex() int {
+func (d *DropQueue[E]) headIndex() int {
 	if len(d.entries) == 0 {
 		return -1
 	}
 	if !d.edf {
 		return 0
 	}
-	best := 0
+	best, bd := 0, d.entries[0].e.Stamps().Deadline
 	for i := 1; i < len(d.entries); i++ {
-		e, b := d.entries[i], d.entries[best]
-		if e.p.Deadline < b.p.Deadline || (e.p.Deadline == b.p.Deadline && e.seq < b.seq) {
-			best = i
+		// Entries sit in arrival order, so a later one wins only on a
+		// strictly smaller deadline.
+		if dl := d.entries[i].e.Stamps().Deadline; dl < bd {
+			best, bd = i, dl
 		}
 	}
 	return best
 }
 
-// Head returns the next packet in dequeue order, or nil.
-func (d *DropQueue) Head() *packet.Packet {
+// Head returns the next entry in dequeue order, or the zero E.
+func (d *DropQueue[E]) Head() E {
 	i := d.headIndex()
 	if i < 0 {
-		return nil
+		var zero E
+		return zero
 	}
-	return d.entries[i].p
+	return d.entries[i].e
 }
 
-// Pop removes and returns Head, or nil when empty.
-func (d *DropQueue) Pop() *packet.Packet {
+// Pop removes and returns Head, or the zero E when empty.
+func (d *DropQueue[E]) Pop() E {
 	i := d.headIndex()
 	if i < 0 {
-		return nil
+		var zero E
+		return zero
 	}
-	p := d.removeAt(i, false)
-	d.popAccounting(p, units.Infinity)
-	return p
+	e := d.removeAt(i, false)
+	d.popAccounting(e, e.Stamps(), units.Infinity)
+	return e
 }
 
-// Len returns the number of stored packets.
-func (d *DropQueue) Len() int { return len(d.entries) }
+// Len returns the number of stored entries.
+func (d *DropQueue[E]) Len() int { return len(d.entries) }
 
-// Scan visits stored packets in arrival order.
-func (d *DropQueue) Scan(fn func(*packet.Packet)) {
+// Scan visits stored entries in arrival order.
+func (d *DropQueue[E]) Scan(fn func(E)) {
 	for _, e := range d.entries {
-		fn(e.p)
+		fn(e.e)
 	}
 }

@@ -16,7 +16,7 @@ func vpkt(deadline units.Time, size units.Size, density int64) *packet.Packet {
 }
 
 func TestDropQueueFIFOOrder(t *testing.T) {
-	q := NewDropQueue(units.Kilobyte, false, false)
+	q := NewDropQueue[*packet.Packet](units.Kilobyte, false, false)
 	var want []uint64
 	for i := 0; i < 5; i++ {
 		p := vpkt(units.Time(100-i), 64, 1)
@@ -34,7 +34,7 @@ func TestDropQueueFIFOOrder(t *testing.T) {
 }
 
 func TestDropQueueEDFHead(t *testing.T) {
-	q := NewDropQueue(units.Kilobyte, false, true)
+	q := NewDropQueue[*packet.Packet](units.Kilobyte, false, true)
 	q.Push(vpkt(300, 64, 1))
 	late := vpkt(100, 64, 1)
 	q.Push(late)
@@ -48,7 +48,7 @@ func TestDropQueueEDFHead(t *testing.T) {
 }
 
 func TestDropQueueEvictsLowestDensity(t *testing.T) {
-	q := NewDropQueue(300, false, false)
+	q := NewDropQueue[*packet.Packet](300, false, false)
 	cheap := vpkt(10, 100, 1)
 	mid := vpkt(20, 100, 5)
 	rich := vpkt(30, 100, 9)
@@ -77,7 +77,7 @@ func TestDropQueueEvictsLowestDensity(t *testing.T) {
 }
 
 func TestDropQueueRejectsNoDenserNewcomer(t *testing.T) {
-	q := NewDropQueue(200, false, false)
+	q := NewDropQueue[*packet.Packet](200, false, false)
 	a := vpkt(10, 100, 5)
 	b := vpkt(20, 100, 5)
 	q.Push(a)
@@ -97,7 +97,7 @@ func TestDropQueueRejectsNoDenserNewcomer(t *testing.T) {
 }
 
 func TestDropQueueTailMode(t *testing.T) {
-	q := NewDropQueue(200, true, false)
+	q := NewDropQueue[*packet.Packet](200, true, false)
 	cheap := vpkt(10, 100, 1)
 	q.Push(cheap)
 	q.Push(vpkt(20, 100, 1))
@@ -111,7 +111,7 @@ func TestDropQueueTailMode(t *testing.T) {
 }
 
 func TestDropQueueOversizedPacket(t *testing.T) {
-	q := NewDropQueue(100, false, false)
+	q := NewDropQueue[*packet.Packet](100, false, false)
 	q.Push(vpkt(10, 500, 100)) // can never fit, even into an empty queue
 	if q.Len() != 0 {
 		t.Fatalf("oversized packet stored")
@@ -122,7 +122,7 @@ func TestDropQueueOversizedPacket(t *testing.T) {
 }
 
 func TestDropQueueMultiEviction(t *testing.T) {
-	q := NewDropQueue(300, false, false)
+	q := NewDropQueue[*packet.Packet](300, false, false)
 	q.Push(vpkt(10, 100, 1))
 	q.Push(vpkt(20, 100, 2))
 	q.Push(vpkt(30, 100, 3))
@@ -137,7 +137,7 @@ func TestDropQueueMultiEviction(t *testing.T) {
 }
 
 func TestDropQueueScanArrivalOrder(t *testing.T) {
-	q := NewDropQueue(units.Kilobyte, false, true) // EDF pops, arrival-ordered scan
+	q := NewDropQueue[*packet.Packet](units.Kilobyte, false, true) // EDF pops, arrival-ordered scan
 	var want []uint64
 	for i := 0; i < 4; i++ {
 		p := vpkt(units.Time(50-i), 64, 1)
@@ -163,7 +163,7 @@ func TestDropQueueNeverExceedsCapacity(t *testing.T) {
 	for _, edf := range []bool{false, true} {
 		for _, tail := range []bool{false, true} {
 			const cap = 500
-			q := NewDropQueue(cap, tail, edf)
+			q := NewDropQueue[*packet.Packet](cap, tail, edf)
 			evicted := 0
 			q.SetOnEvict(func(*packet.Packet) { evicted++ })
 			rng := uint64(12345)

@@ -45,7 +45,7 @@ func (h *refHeap) Pop() any {
 func TestDeadlineHeapMatchesContainerHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := xrand.New(seed)
-		d := NewHeap(units.Size(1)<<40, false)
+		d := NewHeap[*packet.Packet](units.Size(1)<<40, false)
 		var ref refHeap
 		var seq uint64
 		for op := 0; op < 2000; op++ {
@@ -77,7 +77,7 @@ func TestDeadlineHeapMatchesContainerHeap(t *testing.T) {
 }
 
 func TestDeadlineHeapAllocatesNothing(t *testing.T) {
-	d := NewHeap(units.Size(1)<<40, false)
+	d := NewHeap[*packet.Packet](units.Size(1)<<40, false)
 	pkts := make([]*packet.Packet, 64)
 	for i := range pkts {
 		pkts[i] = pkt(units.Time(i*7%23), 64)
@@ -99,7 +99,7 @@ func TestDeadlineHeapAllocatesNothing(t *testing.T) {
 // deadline each packet was pushed with, so a deadline rewritten while the
 // packet is stored would silently corrupt the order. Pop refuses it.
 func TestDeadlineHeapPopPanicsOnChangedDeadline(t *testing.T) {
-	d := NewHeap(units.Kilobyte, false)
+	d := NewHeap[*packet.Packet](units.Kilobyte, false)
 	p := pkt(100, 64)
 	d.Push(p)
 	p.Deadline = 50

@@ -15,8 +15,12 @@
 //     theorems (encoded in this package's tests) prove this never reorders
 //     packets of a single flow.
 //
-// All disciplines implement Buffer, so switch ports are built independently
-// of the architecture being simulated.
+// Fifo, DeadlineHeap and DropQueue are generic over what they store
+// (Entry): switch ports store packets (Buffer), and a NIC's injection
+// queues store the records its packets wait in until the link takes them
+// (packet.Staged). TakeOverQueue is a switch-port discipline only and
+// stores packets. Every discipline implements Queue, so ports are built
+// independently of the architecture being simulated.
 //
 // Order-error accounting: a dequeue commits an order error when the packet
 // it emits does not have the minimum deadline currently stored in the buffer
@@ -35,21 +39,29 @@ import (
 	"deadlineqos/internal/units"
 )
 
-// Buffer is a per-VC packet buffer of a switch or host port. Push never
-// fails: the credit-based flow control upstream guarantees space, and a
-// violation indicates a simulator bug, so implementations panic when pushed
-// beyond capacity.
-type Buffer interface {
-	// Push stores a packet. Panics if the buffer lacks capacity.
-	Push(p *packet.Packet)
-	// Head returns the packet the discipline would emit next, or nil.
-	// As required by the paper's flow-control rule (appendix), callers
-	// must check credits against Head only — never against another
-	// stored packet.
-	Head() *packet.Packet
-	// Pop removes and returns Head. Returns nil when empty.
-	Pop() *packet.Packet
-	// Len returns the number of stored packets.
+// Entry is what a queue stores: a *packet.Packet at a switch port, a
+// *packet.Staged record in a NIC injection queue. Stamps gives the
+// deadline, wire size and value a discipline orders, accounts and sheds
+// by; they must not change while the entry is stored.
+type Entry interface {
+	comparable
+	Stamps() packet.Stamps
+}
+
+// Queue is a per-VC buffer of entries. Push never fails: the credit-based
+// flow control upstream guarantees space, and a violation indicates a
+// simulator bug, so implementations panic when pushed beyond capacity.
+type Queue[E Entry] interface {
+	// Push stores e. Panics if the buffer lacks capacity.
+	Push(e E)
+	// Head returns the entry the discipline would emit next, or the zero
+	// E (nil). As required by the paper's flow-control rule (appendix),
+	// callers must check credits against Head only — never against
+	// another stored entry.
+	Head() E
+	// Pop removes and returns Head. Returns the zero E when empty.
+	Pop() E
+	// Len returns the number of stored entries.
 	Len() int
 	// Bytes returns the stored byte volume.
 	Bytes() units.Size
@@ -57,33 +69,36 @@ type Buffer interface {
 	Capacity() units.Size
 	// Free returns the remaining byte space.
 	Free() units.Size
-	// Pushes returns how many packets were ever stored. Every stored
-	// packet leaves through Pop (or, in a DropQueue, an eviction), so a
-	// flow-controlled buffer has popped Pushes() − Len() packets.
+	// Pushes returns how many entries were ever stored. Every stored
+	// entry leaves through Pop (or, in a DropQueue, an eviction), so a
+	// flow-controlled buffer has popped Pushes() − Len() entries.
 	Pushes() uint64
-	// OrderErrors returns how many dequeues emitted a packet whose
+	// OrderErrors returns how many dequeues emitted an entry whose
 	// deadline exceeded the buffer's true minimum at that moment.
 	// Always zero when the buffer was built without tracking.
 	OrderErrors() uint64
-	// Scan calls fn for every stored packet in unspecified order. It is
+	// Scan calls fn for every stored entry in unspecified order. It is
 	// an oracle hook for tests and statistics.
-	Scan(fn func(*packet.Packet))
-	// SetObserver installs a per-packet event observer (nil to remove).
+	Scan(fn func(E))
+	// SetObserver installs a per-entry event observer (nil to remove).
 	// Observers are measurement-only and never influence the discipline.
-	SetObserver(Observer)
+	SetObserver(Observer[E])
 }
 
-// Observer receives per-packet buffer events. The tracing layer installs
-// one when packet-lifecycle tracing is on; with no observer installed the
-// notification sites cost a single nil check.
-type Observer interface {
-	// TakeOverEnqueued fires when a push diverts p to the take-over
+// Buffer is the per-VC packet buffer of a switch port.
+type Buffer = Queue[*packet.Packet]
+
+// Observer receives per-entry buffer events. The tracing layer installs
+// one on switch buffers when packet-lifecycle tracing is on; with no
+// observer installed the notification sites cost a single nil check.
+type Observer[E any] interface {
+	// TakeOverEnqueued fires when a push diverts e to the take-over
 	// queue U (TakeOver discipline only).
-	TakeOverEnqueued(p *packet.Packet)
-	// OrderError fires when a dequeue emits p although the buffer holds
+	TakeOverEnqueued(e E)
+	// OrderError fires when a dequeue emits e although the buffer holds
 	// a smaller deadline. Requires the buffer to be built with order
 	// tracking; untracked buffers never call it.
-	OrderError(p *packet.Packet)
+	OrderError(e E)
 }
 
 // Discipline names a buffer type, used by configuration.
@@ -110,15 +125,15 @@ func (d Discipline) String() string {
 	}
 }
 
-// New builds a buffer of the given discipline with the given byte capacity.
-// If trackOrderErrors is true the buffer counts order errors with the
-// oracle the package comment describes.
+// New builds a packet buffer of the given discipline with the given byte
+// capacity. If trackOrderErrors is true the buffer counts order errors
+// with the oracle the package comment describes.
 func New(d Discipline, capacity units.Size, trackOrderErrors bool) Buffer {
 	switch d {
 	case FIFO:
-		return NewFIFO(capacity, trackOrderErrors)
+		return NewFIFO[*packet.Packet](capacity, trackOrderErrors)
 	case Heap:
-		return NewHeap(capacity, trackOrderErrors)
+		return NewHeap[*packet.Packet](capacity, trackOrderErrors)
 	case TakeOver:
 		return NewTakeOver(capacity, trackOrderErrors)
 	default:
@@ -134,7 +149,7 @@ func New(d Discipline, capacity units.Size, trackOrderErrors bool) Buffer {
 // deadline, which cannot be the minimum again while the newcomer is
 // stored; the front leaves with the ring entry that carries its seq.
 // Every entry enters and leaves once, so both are amortised O(1), and
-// the deadlines are the ones the packets were pushed with.
+// the deadlines are the ones the entries were pushed with.
 type minQueue struct {
 	q ring[minEntry]
 }
@@ -180,48 +195,49 @@ func (m *minQueue) min() units.Time {
 
 // --- common bookkeeping -------------------------------------------------
 
-type base struct {
+type base[E Entry] struct {
 	capacity    units.Size
 	bytes       units.Size
 	pushes      uint64
 	orderErrors uint64
 	arrivalSeq  uint64
-	obs         Observer
+	obs         Observer[E]
 }
 
-func (b *base) Bytes() units.Size      { return b.bytes }
-func (b *base) Capacity() units.Size   { return b.capacity }
-func (b *base) Free() units.Size       { return b.capacity - b.bytes }
-func (b *base) Pushes() uint64         { return b.pushes }
-func (b *base) OrderErrors() uint64    { return b.orderErrors }
-func (b *base) SetObserver(o Observer) { b.obs = o }
+func (b *base[E]) Bytes() units.Size         { return b.bytes }
+func (b *base[E]) Capacity() units.Size      { return b.capacity }
+func (b *base[E]) Free() units.Size          { return b.capacity - b.bytes }
+func (b *base[E]) Pushes() uint64            { return b.pushes }
+func (b *base[E]) OrderErrors() uint64       { return b.orderErrors }
+func (b *base[E]) SetObserver(o Observer[E]) { b.obs = o }
 
-func (b *base) pushAccounting(p *packet.Packet, kind string) {
-	if b.bytes+p.Size > b.capacity {
+// pushAccounting books the arrival of an entry of the given size.
+func (b *base[E]) pushAccounting(size units.Size, kind string) {
+	if b.bytes+size > b.capacity {
 		panic(fmt.Sprintf("pqueue: %s overflow: %v stored + %v pushed > %v capacity (flow control violated)",
-			kind, b.bytes, p.Size, b.capacity))
+			kind, b.bytes, size, b.capacity))
 	}
-	b.bytes += p.Size
+	b.bytes += size
 	b.pushes++
 }
 
-// popAccounting books p's departure. least is the smallest deadline the
-// buffer held just before the pop; a buffer without the oracle passes
-// Infinity.
-func (b *base) popAccounting(p *packet.Packet, least units.Time) {
-	b.bytes -= p.Size
-	if p.Deadline > least {
+// popAccounting books e's departure; s is e's stamps. least is the
+// smallest deadline the buffer held just before the pop; a buffer without
+// the oracle passes Infinity.
+func (b *base[E]) popAccounting(e E, s packet.Stamps, least units.Time) {
+	b.bytes -= s.Size
+	if s.Deadline > least {
 		b.orderErrors++
 		if b.obs != nil {
-			b.obs.OrderError(p)
+			b.obs.OrderError(e)
 		}
 	}
 }
 
 // --- FIFO ---------------------------------------------------------------
 
-// ring is a growable FIFO ring of queue entries: packet pointers for Fifo,
-// packets with their arrival seq for the take-over queues.
+// ring is a growable FIFO ring of queue entries: entries for Fifo, packets
+// with their arrival seq for the take-over queues.
 type ring[T any] struct {
 	buf        []T
 	head, size int
@@ -286,85 +302,89 @@ func (q *ring[T]) scan(fn func(T)) {
 	}
 }
 
-// Fifo is a first-in first-out packet buffer.
-type Fifo struct {
-	base
-	q    ring[*packet.Packet]
+// Fifo is a first-in first-out buffer.
+type Fifo[E Entry] struct {
+	base[E]
+	q    ring[E]
 	mins *minQueue // the order-error oracle; nil when untracked
 }
 
 // NewFIFO returns an empty FIFO buffer of the given byte capacity.
-func NewFIFO(capacity units.Size, track bool) *Fifo {
-	return &Fifo{base: base{capacity: capacity}, mins: newMinQueue(track)}
+func NewFIFO[E Entry](capacity units.Size, track bool) *Fifo[E] {
+	return &Fifo[E]{base: base[E]{capacity: capacity}, mins: newMinQueue(track)}
 }
 
-// Push appends p.
-func (f *Fifo) Push(p *packet.Packet) {
-	f.pushAccounting(p, "fifo")
-	f.q.push(p)
+// Push appends e.
+func (f *Fifo[E]) Push(e E) {
+	s := e.Stamps()
+	f.pushAccounting(s.Size, "fifo")
+	f.q.push(e)
 	if f.mins != nil {
-		f.mins.push(p.Deadline, f.arrivalSeq)
+		f.mins.push(s.Deadline, f.arrivalSeq)
 		f.arrivalSeq++
 	}
 }
 
-// Head returns the oldest stored packet.
-func (f *Fifo) Head() *packet.Packet { return f.q.front() }
+// Head returns the oldest stored entry.
+func (f *Fifo[E]) Head() E { return f.q.front() }
 
-// Pop removes and returns the oldest stored packet.
-func (f *Fifo) Pop() *packet.Packet {
+// Pop removes and returns the oldest stored entry.
+func (f *Fifo[E]) Pop() E {
 	if f.q.len() == 0 {
-		return nil
+		var zero E
+		return zero
 	}
 	least := units.Infinity
 	if f.mins != nil {
-		// The front is the oldest of the Len() packets stored.
+		// The front is the oldest of the Len() entries stored.
 		least = f.mins.min()
 		f.mins.leave(f.arrivalSeq - uint64(f.q.len()))
 	}
-	p := f.q.pop()
-	f.popAccounting(p, least)
-	return p
+	e := f.q.pop()
+	f.popAccounting(e, e.Stamps(), least)
+	return e
 }
 
-// Len returns the number of stored packets.
-func (f *Fifo) Len() int { return f.q.len() }
+// Len returns the number of stored entries.
+func (f *Fifo[E]) Len() int { return f.q.len() }
 
-// Scan visits stored packets front to back.
-func (f *Fifo) Scan(fn func(*packet.Packet)) { f.q.scan(fn) }
+// Scan visits stored entries front to back.
+func (f *Fifo[E]) Scan(fn func(E)) { f.q.scan(fn) }
 
 // --- Heap ("Ideal") -------------------------------------------------------
 
-// heapEntry is a stored packet with its sort key: the deadline it was
+// heapEntry is a stored entry with its sort key: the deadline it was
 // pushed with and its arrival order, the EDF tie-break. Keeping the
-// deadline beside the pointer lets the heap sift without touching packets.
-type heapEntry struct {
-	p        *packet.Packet
+// deadline beside the pointer lets the heap sift without touching what
+// the entries point at, in 24 bytes an entry.
+type heapEntry[E Entry] struct {
+	e        E
 	deadline units.Time
 	seq      uint64
 }
 
 // DeadlineHeap is the "Ideal" ordered buffer: Head is always the stored
-// packet with the smallest deadline (ties broken by arrival order, making
-// the discipline a stable EDF).
+// entry with the smallest deadline (ties broken by arrival order, making
+// the discipline a stable EDF). NICs stage their deadline-aware injection
+// queues in it.
 //
 // The binary heap is sifted by hand rather than through container/heap,
 // whose interface boxes every entry into an any; up and down repeat
 // container/heap's compare and swap sequence exactly, so the layout Scan
 // walks is the one container/heap would build.
-type DeadlineHeap struct {
-	base
-	h []heapEntry
+type DeadlineHeap[E Entry] struct {
+	base[E]
+	h []heapEntry[E]
 }
 
 // NewHeap returns an empty ordered buffer of the given byte capacity. It
 // needs no order-error oracle, tracked or not: every pop emits the stored
 // minimum, so the heap never commits an order error.
-func NewHeap(capacity units.Size, _ bool) *DeadlineHeap {
-	return &DeadlineHeap{base: base{capacity: capacity}}
+func NewHeap[E Entry](capacity units.Size, _ bool) *DeadlineHeap[E] {
+	return &DeadlineHeap[E]{base: base[E]{capacity: capacity}}
 }
 
-func (d *DeadlineHeap) less(i, j int) bool {
+func (d *DeadlineHeap[E]) less(i, j int) bool {
 	a, b := &d.h[i], &d.h[j]
 	if a.deadline != b.deadline {
 		return a.deadline < b.deadline
@@ -373,7 +393,7 @@ func (d *DeadlineHeap) less(i, j int) bool {
 }
 
 // up is container/heap's up.
-func (d *DeadlineHeap) up(j int) {
+func (d *DeadlineHeap[E]) up(j int) {
 	for {
 		i := (j - 1) / 2 // parent
 		if i == j || !d.less(j, i) {
@@ -385,7 +405,7 @@ func (d *DeadlineHeap) up(j int) {
 }
 
 // down is container/heap's down over the first n entries.
-func (d *DeadlineHeap) down(i, n int) {
+func (d *DeadlineHeap[E]) down(i, n int) {
 	for {
 		j1 := 2*i + 1
 		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
@@ -403,48 +423,52 @@ func (d *DeadlineHeap) down(i, n int) {
 	}
 }
 
-// Push stores p in deadline order.
-func (d *DeadlineHeap) Push(p *packet.Packet) {
-	d.pushAccounting(p, "heap")
-	d.h = append(d.h, heapEntry{p, p.Deadline, d.arrivalSeq})
+// Push stores e in deadline order.
+func (d *DeadlineHeap[E]) Push(e E) {
+	s := e.Stamps()
+	d.pushAccounting(s.Size, "heap")
+	d.h = append(d.h, heapEntry[E]{e, s.Deadline, d.arrivalSeq})
 	d.up(len(d.h) - 1)
 	d.arrivalSeq++
 }
 
-// Head returns the minimum-deadline stored packet.
-func (d *DeadlineHeap) Head() *packet.Packet {
+// Head returns the minimum-deadline stored entry.
+func (d *DeadlineHeap[E]) Head() E {
 	if len(d.h) == 0 {
-		return nil
+		var zero E
+		return zero
 	}
-	return d.h[0].p
+	return d.h[0].e
 }
 
-// Pop removes and returns the minimum-deadline stored packet.
-func (d *DeadlineHeap) Pop() *packet.Packet {
+// Pop removes and returns the minimum-deadline stored entry.
+func (d *DeadlineHeap[E]) Pop() E {
 	n := len(d.h) - 1
 	if n < 0 {
-		return nil
+		var zero E
+		return zero
 	}
 	d.h[0], d.h[n] = d.h[n], d.h[0]
 	d.down(0, n)
-	e := d.h[n]
-	d.h[n] = heapEntry{}
+	top := d.h[n]
+	d.h[n] = heapEntry[E]{}
 	d.h = d.h[:n]
-	if e.p.Deadline != e.deadline {
-		panic(fmt.Sprintf("pqueue: packet %d deadline changed from %v to %v while in a heap buffer",
-			e.p.ID, e.deadline, e.p.Deadline))
+	s := top.e.Stamps()
+	if s.Deadline != top.deadline {
+		panic(fmt.Sprintf("pqueue: %v: deadline changed from %v while in a heap buffer",
+			top.e, top.deadline))
 	}
-	d.popAccounting(e.p, e.deadline)
-	return e.p
+	d.popAccounting(top.e, s, top.deadline)
+	return top.e
 }
 
-// Len returns the number of stored packets.
-func (d *DeadlineHeap) Len() int { return len(d.h) }
+// Len returns the number of stored entries.
+func (d *DeadlineHeap[E]) Len() int { return len(d.h) }
 
-// Scan visits stored packets in heap (unspecified) order.
-func (d *DeadlineHeap) Scan(fn func(*packet.Packet)) {
+// Scan visits stored entries in heap (unspecified) order.
+func (d *DeadlineHeap[E]) Scan(fn func(E)) {
 	for _, e := range d.h {
-		fn(e.p)
+		fn(e.e)
 	}
 }
 
@@ -457,7 +481,7 @@ func (d *DeadlineHeap) Scan(fn func(*packet.Packet)) {
 // deadline of the two heads (FIFO arrival as tie-break), which the paper's
 // appendix proves never reorders a single flow's packets.
 type TakeOverQueue struct {
-	base
+	base[*packet.Packet]
 	l, u     ring[seqEntry]
 	umin     *minQueue // the order-error oracle over U; nil when untracked
 	takeOver uint64    // packets diverted to U, a direct order-pressure measure
@@ -474,13 +498,13 @@ type seqEntry struct {
 // L and U share the capacity dynamically, as in the paper ("the two queues
 // can dynamically take all the memory allowed for the VC").
 func NewTakeOver(capacity units.Size, track bool) *TakeOverQueue {
-	return &TakeOverQueue{base: base{capacity: capacity}, umin: newMinQueue(track)}
+	return &TakeOverQueue{base: base[*packet.Packet]{capacity: capacity}, umin: newMinQueue(track)}
 }
 
 // Push enqueues p per the paper's Definition 1: into L when both queues are
 // empty or when D(p) ≥ D(L's tail); into U otherwise.
 func (t *TakeOverQueue) Push(p *packet.Packet) {
-	t.pushAccounting(p, "takeover")
+	t.pushAccounting(p.Size, "takeover")
 	e := seqEntry{p, t.arrivalSeq}
 	t.arrivalSeq++
 	if tail := t.l.back(); tail.p == nil || p.Deadline >= tail.p.Deadline {
@@ -550,7 +574,7 @@ func (t *TakeOverQueue) Pop() *packet.Packet {
 		}
 	}
 	p := q.pop().p
-	t.popAccounting(p, least)
+	t.popAccounting(p, p.Stamps(), least)
 	return p
 }
 

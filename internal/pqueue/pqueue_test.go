@@ -52,7 +52,7 @@ func TestNewUnknownPanics(t *testing.T) {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	f := NewFIFO(units.Kilobyte, false)
+	f := NewFIFO[*packet.Packet](units.Kilobyte, false)
 	var want []uint64
 	for i := 0; i < 10; i++ {
 		p := pkt(units.Time(100-i), 10) // deliberately decreasing deadlines
@@ -73,7 +73,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFORingWraparound(t *testing.T) {
-	f := NewFIFO(units.Megabyte, false)
+	f := NewFIFO[*packet.Packet](units.Megabyte, false)
 	// Interleave pushes and pops to force the ring head to wrap.
 	seq := uint64(0)
 	popped := uint64(0)
@@ -100,7 +100,7 @@ func TestFIFORingWraparound(t *testing.T) {
 }
 
 func TestHeapEmitsMinDeadline(t *testing.T) {
-	h := NewHeap(units.Kilobyte, false)
+	h := NewHeap[*packet.Packet](units.Kilobyte, false)
 	deadlines := []units.Time{50, 10, 30, 20, 40}
 	for _, d := range deadlines {
 		h.Push(pkt(d, 10))
@@ -117,7 +117,7 @@ func TestHeapEmitsMinDeadline(t *testing.T) {
 }
 
 func TestHeapStableOnTies(t *testing.T) {
-	h := NewHeap(units.Kilobyte, false)
+	h := NewHeap[*packet.Packet](units.Kilobyte, false)
 	var ids []uint64
 	for i := 0; i < 5; i++ {
 		p := pkt(42, 10)
@@ -167,7 +167,7 @@ func TestOverflowPanics(t *testing.T) {
 func TestOrderErrorCounting(t *testing.T) {
 	// A FIFO fed decreasing deadlines commits an order error on every pop
 	// except the last (when only one packet remains it is trivially min).
-	f := NewFIFO(units.Kilobyte, true)
+	f := NewFIFO[*packet.Packet](units.Kilobyte, true)
 	for i := 0; i < 5; i++ {
 		f.Push(pkt(units.Time(100-i), 10))
 	}
@@ -179,7 +179,7 @@ func TestOrderErrorCounting(t *testing.T) {
 	}
 
 	// The heap never commits order errors.
-	h := NewHeap(units.Kilobyte, true)
+	h := NewHeap[*packet.Packet](units.Kilobyte, true)
 	for i := 0; i < 5; i++ {
 		h.Push(pkt(units.Time(100-i), 10))
 	}
@@ -194,7 +194,7 @@ func TestOrderErrorCounting(t *testing.T) {
 func TestOrderErrorsInterleaved(t *testing.T) {
 	// Order errors must be judged against the buffer contents at pop
 	// time, not against the whole arrival history.
-	f := NewFIFO(units.Kilobyte, true)
+	f := NewFIFO[*packet.Packet](units.Kilobyte, true)
 	f.Push(pkt(10, 8))
 	f.Pop() // min, no error
 	f.Push(pkt(30, 8))
@@ -207,7 +207,7 @@ func TestOrderErrorsInterleaved(t *testing.T) {
 }
 
 func TestUntrackedBuffersReportZero(t *testing.T) {
-	f := NewFIFO(units.Kilobyte, false)
+	f := NewFIFO[*packet.Packet](units.Kilobyte, false)
 	f.Push(pkt(100, 8))
 	f.Push(pkt(1, 8))
 	f.Pop()

@@ -182,7 +182,7 @@ func TestTakeoverReducesOrderErrorsVsFIFO(t *testing.T) {
 	// two-queue buffer commits strictly fewer order errors than a FIFO.
 	// (The heap commits zero by construction.)
 	rng := xrand.New(4242)
-	fifo := NewFIFO(units.Megabyte, true)
+	fifo := NewFIFO[*packet.Packet](units.Megabyte, true)
 	tq := NewTakeOver(units.Megabyte, true)
 
 	dl := map[int]units.Time{}

@@ -166,19 +166,34 @@ func NewTakeOverQueue(capacity Size, track bool) *TakeOverQueue {
 	return pqueue.NewTakeOver(capacity, track)
 }
 
-// Buffer is the interface all port buffer disciplines implement.
+// Buffer is the interface all switch-port buffer disciplines implement.
 type Buffer = pqueue.Buffer
 
 // NewFIFOQueue returns a plain FIFO buffer (the Traditional and Simple
 // architectures' discipline) for buffer-level experiments.
 func NewFIFOQueue(capacity Size, track bool) Buffer {
-	return pqueue.NewFIFO(capacity, track)
+	return pqueue.NewFIFO[*packet.Packet](capacity, track)
 }
 
 // NewHeapQueue returns a deadline-ordered buffer (the Ideal architecture's
 // discipline).
 func NewHeapQueue(capacity Size, track bool) Buffer {
-	return pqueue.NewHeap(capacity, track)
+	return pqueue.NewHeap[*packet.Packet](capacity, track)
+}
+
+// HostQueue is a NIC injection queue, which a Policy builds per VC. It
+// holds staged records: a packet waits at its source NIC as a Staged
+// record until the link takes it.
+type HostQueue = policy.HostQueue
+
+// Staged is the record a packet waits in at its source NIC; a Policy's
+// PickInject checks link credits against the record at a queue's head.
+type Staged = packet.Staged
+
+// NewHostFIFOQueue returns a FIFO injection queue of the given byte
+// capacity, for a Policy that stages in arrival order.
+func NewHostFIFOQueue(capacity Size) HostQueue {
+	return pqueue.NewFIFO[*packet.Staged](capacity, false)
 }
 
 // VC identifies a virtual channel of a port (0..NumVCs-1; the deadline-aware
