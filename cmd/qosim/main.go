@@ -585,7 +585,7 @@ func writeTrace(dir string, tr *trace.Tracer, res *network.Results) error {
 	if d := tr.Dropped(); d > 0 {
 		dropNote = fmt.Sprintf(" (%d dropped at the event cap — raise -maxevents or lower -sample)", d)
 	}
-	fmt.Printf("trace: %d sampled packets, %d events%s\n", tr.SampledPackets(), len(tr.Events()), dropNote)
+	fmt.Printf("trace: %d sampled packets, %d events%s\n", tr.SampledPackets(), tr.Len(), dropNote)
 	if tel := res.Telemetry; tel != nil {
 		fmt.Printf("telemetry: %d port samples, %d engine samples every %v\n",
 			len(tel.Ports), len(tel.Engine), tel.Interval)

@@ -31,6 +31,7 @@ import (
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/link"
 	"deadlineqos/internal/packet"
+	"deadlineqos/internal/paged"
 	"deadlineqos/internal/police"
 	"deadlineqos/internal/policy"
 	"deadlineqos/internal/pqueue"
@@ -752,57 +753,62 @@ func (h *Host) Received() uint64 { return h.received }
 // --- eligibility heap ----------------------------------------------------
 
 // eligHeap orders staged records by eligible time (ties by packet id, for
-// determinism).
+// determinism). Under eligible-time shaping it holds a saturated NIC's
+// backlog, so its entries live in a paged array that grows without
+// copying them.
 type eligHeap struct {
-	items []*packet.Staged
+	items paged.Array[*packet.Staged]
 }
 
-func (e *eligHeap) len() int { return len(e.items) }
+func (e *eligHeap) len() int { return e.items.Len() }
 
 func (e *eligHeap) less(i, j int) bool {
-	a, b := e.items[i], e.items[j]
+	a, b := *e.items.At(i), *e.items.At(j)
 	if a.Eligible != b.Eligible {
 		return a.Eligible < b.Eligible
 	}
 	return a.ID < b.ID
 }
 
+func (e *eligHeap) swap(i, j int) {
+	a, b := e.items.At(i), e.items.At(j)
+	*a, *b = *b, *a
+}
+
 func (e *eligHeap) push(r *packet.Staged) {
-	e.items = append(e.items, r)
-	i := len(e.items) - 1
+	e.items.Push(r)
+	i := e.items.Len() - 1
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !e.less(i, parent) {
 			break
 		}
-		e.items[i], e.items[parent] = e.items[parent], e.items[i]
+		e.swap(i, parent)
 		i = parent
 	}
 }
 
 func (e *eligHeap) peek() *packet.Staged {
-	if len(e.items) == 0 {
+	if e.items.Len() == 0 {
 		return nil
 	}
-	return e.items[0]
+	return *e.items.At(0)
 }
 
 func (e *eligHeap) minEligible() units.Time {
-	if len(e.items) == 0 {
+	if e.items.Len() == 0 {
 		return units.Infinity
 	}
-	return e.items[0].Eligible
+	return (*e.items.At(0)).Eligible
 }
 
 func (e *eligHeap) pop() *packet.Staged {
-	n := len(e.items)
+	n := e.items.Len()
 	if n == 0 {
 		return nil
 	}
-	top := e.items[0]
-	e.items[0] = e.items[n-1]
-	e.items[n-1] = nil
-	e.items = e.items[:n-1]
+	e.swap(0, n-1)
+	top := e.items.Pop()
 	n--
 	i := 0
 	for {
@@ -817,7 +823,7 @@ func (e *eligHeap) pop() *packet.Staged {
 		if small == i {
 			break
 		}
-		e.items[i], e.items[small] = e.items[small], e.items[i]
+		e.swap(i, small)
 		i = small
 	}
 	return top

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -414,15 +413,26 @@ func (h *Histogram) Sum() int64 {
 	return h.sum
 }
 
+// snapshot lists the non-empty buckets in ascending Upper order without
+// sorting: negative magnitude buckets from the largest magnitude down,
+// then the zero bucket and the positive ones upwards.
 func (h *Histogram) snapshot() HistSnapshot {
 	s := HistSnapshot{Count: h.count, Sum: h.sum}
-	for i, c := range h.pos {
-		if c != 0 {
-			s.Buckets = append(s.Buckets, HistBucket{Upper: bucketUpper(i), Count: c})
+	n := 0
+	for i := range h.pos {
+		if h.pos[i] != 0 {
+			n++
+		}
+		if h.neg[i] != 0 {
+			n++
 		}
 	}
-	for i, c := range h.neg {
-		if c != 0 {
+	if n == 0 {
+		return s
+	}
+	s.Buckets = make([]HistBucket, 0, n)
+	for i := len(h.neg) - 1; i >= 1; i-- {
+		if c := h.neg[i]; c != 0 {
 			// A negative magnitude bucket [lo, hi] holds values in
 			// [-hi, -lo]; its inclusive upper bound is -lo.
 			lo := int64(1)
@@ -432,7 +442,11 @@ func (h *Histogram) snapshot() HistSnapshot {
 			s.Buckets = append(s.Buckets, HistBucket{Upper: -lo, Count: c})
 		}
 	}
-	sort.Slice(s.Buckets, func(a, b int) bool { return s.Buckets[a].Upper < s.Buckets[b].Upper })
+	for i, c := range h.pos {
+		if c != 0 {
+			s.Buckets = append(s.Buckets, HistBucket{Upper: bucketUpper(i), Count: c})
+		}
+	}
 	return s
 }
 

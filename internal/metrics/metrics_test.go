@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -268,5 +270,35 @@ func TestQuantile(t *testing.T) {
 	p99 := snap.Hists[hid].Quantile(0.99)
 	if p99 < 950 || p99 > 1100 {
 		t.Fatalf("p99 of 1..1000 = %d", p99)
+	}
+}
+
+// TestHistogramSnapshot: a snapshot lists the non-empty buckets in the
+// order a sort by Upper gives, across negative, zero and positive
+// values, and allocates its bucket list once.
+func TestHistogramSnapshot(t *testing.T) {
+	var h Histogram
+	for i := int64(-40); i <= 40; i++ {
+		h.Observe(i * i * i * 997)
+	}
+	h.Observe(math.MaxInt64 / 3)
+	h.Observe(math.MinInt64 / 3)
+	var want []HistBucket
+	for i, c := range h.pos {
+		if c != 0 {
+			want = append(want, HistBucket{Upper: bucketUpper(i), Count: c})
+		}
+	}
+	for i, c := range h.neg {
+		if c != 0 {
+			want = append(want, HistBucket{Upper: -bucketUpper(i-1) - 1, Count: c})
+		}
+	}
+	sort.Slice(want, func(a, b int) bool { return want[a].Upper < want[b].Upper })
+	if got := h.snapshot().Buckets; !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { h.snapshot() }); n != 1 {
+		t.Errorf("snapshot allocates %v times, want 1", n)
 	}
 }

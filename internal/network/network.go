@@ -1286,7 +1286,6 @@ func (n *Network) Run() *Results {
 			for _, sh := range n.shards {
 				tr.Absorb(sh.tracer)
 			}
-			tr.SortEvents()
 		} else if ft := n.flightTracer; ft != nil {
 			// Hidden flight tracer: fold the shard rings into cfg.Flight
 			// (earliest trip wins; no event lists exist in discard mode).

@@ -15,6 +15,8 @@
 package network
 
 import (
+	"slices"
+
 	"deadlineqos/internal/faults"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/trace"
@@ -71,6 +73,7 @@ func (n *Network) startProbes() {
 // sample appends one probe of every owned switch port and of the shard's
 // engine to the shard's telemetry series.
 func (p *prober) sample(t units.Time) {
+	first := p.sh.telemetry.Engine == nil
 	secs := float64(p.sh.telemetry.Interval) / 1e9
 	for sw, s := range p.n.switches {
 		if p.n.swShard[sw] != p.shard {
@@ -139,6 +142,15 @@ func (p *prober) sample(t units.Time) {
 		EventRate: float64(ev-p.prevEvents) / secs,
 	})
 	p.prevEvents = ev
+	if first {
+		// Every tick appends the rows this one did, so the ticks left to
+		// the horizon size each series once.
+		tel := p.sh.telemetry
+		left := int((p.n.cfg.WarmUp + p.n.cfg.Measure - t) / tel.Interval)
+		tel.Ports = slices.Grow(tel.Ports, left*len(tel.Ports))
+		tel.Engine = slices.Grow(tel.Engine, left)
+		tel.Sessions = slices.Grow(tel.Sessions, left*len(tel.Sessions))
+	}
 	// Refresh the shard's gauges and publish its metrics snapshot for the
 	// live scrape server (no-op without a metrics registry).
 	p.n.publishMetrics(p.shard, t)

@@ -2,9 +2,11 @@ package pqueue
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 
 	"deadlineqos/internal/packet"
+	"deadlineqos/internal/paged"
 	"deadlineqos/internal/units"
 	"deadlineqos/internal/xrand"
 )
@@ -38,18 +40,22 @@ func (h *refHeap) Pop() any {
 }
 
 // TestDeadlineHeapMatchesContainerHeap drives DeadlineHeap and the
-// container/heap reference with the same pseudo-random stream of
-// interleaved pushes and pops over a narrow deadline range, so ties are
-// frequent. Every pop must return the same packet, and after every
-// operation both heaps must hold their entries in the same layout.
+// container/heap reference with the same pseudo-random stream of pushes
+// and pops over a narrow deadline range, so ties are frequent. Every pop
+// must return the same packet, and after every operation both heaps must
+// hold their entries in the same layout. The stream interleaves pushes
+// and pops for 2,000 operations, then pushes nine times in ten until the
+// heap fills more than three pages, then drains it, so the sift crosses
+// page boundaries both ways.
 func TestDeadlineHeapMatchesContainerHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := xrand.New(seed)
 		d := NewHeap[*packet.Packet](units.Size(1)<<40, false)
 		var ref refHeap
 		var seq uint64
-		for op := 0; op < 2000; op++ {
-			if d.Len() == 0 || rng.Float64() < 0.55 {
+		op := 0
+		step := func(push bool) {
+			if push {
 				p := pkt(units.Time(rng.Intn(12)), 64)
 				d.Push(p)
 				heap.Push(&ref, refEntry{p, seq})
@@ -72,6 +78,16 @@ func TestDeadlineHeapMatchesContainerHeap(t *testing.T) {
 			if i != len(ref) {
 				t.Fatalf("seed %d op %d: %d entries, reference %d", seed, op, i, len(ref))
 			}
+			op++
+		}
+		for op < 2000 {
+			step(d.Len() == 0 || rng.Float64() < 0.55)
+		}
+		for d.Len() <= 3*paged.PageLen {
+			step(rng.Float64() < 0.9)
+		}
+		for d.Len() > 0 {
+			step(false)
 		}
 	}
 }
@@ -109,4 +125,31 @@ func TestDeadlineHeapPopPanicsOnChangedDeadline(t *testing.T) {
 		}
 	}()
 	d.Pop()
+}
+
+// BenchmarkDeepHeap times one push and one pop on a heap holding depth
+// packets. Deadlines rise as at a NIC, where each flow stamps later
+// deadlines than the ones already staged, so a push settles near the
+// bottom and a pop sifts through every level. Depth 32 stays within the
+// first page; depth 4,096 spans eight pages.
+func BenchmarkDeepHeap(b *testing.B) {
+	for _, depth := range []int{32, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			rng := xrand.New(1)
+			d := NewHeap[*packet.Packet](units.Size(1)<<40, false)
+			next := units.Time(0)
+			for i := 0; i < depth; i++ {
+				next += units.Time(rng.Intn(100))
+				d.Push(pkt(next, 64))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := d.Pop()
+				next += units.Time(rng.Intn(100))
+				p.Deadline = next
+				d.Push(p)
+			}
+		})
+	}
 }

@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"deadlineqos/internal/packet"
+	"deadlineqos/internal/paged"
 	"deadlineqos/internal/units"
 )
 
@@ -371,10 +372,12 @@ type heapEntry[E Entry] struct {
 // The binary heap is sifted by hand rather than through container/heap,
 // whose interface boxes every entry into an any; up and down repeat
 // container/heap's compare and swap sequence exactly, so the layout Scan
-// walks is the one container/heap would build.
+// walks is the one container/heap would build. The entries live in a
+// paged array: a NIC heap grows for the whole of a saturated run, and
+// growing it by whole pages never copies the entries it already holds.
 type DeadlineHeap[E Entry] struct {
 	base[E]
-	h []heapEntry[E]
+	h paged.Array[heapEntry[E]]
 }
 
 // NewHeap returns an empty ordered buffer of the given byte capacity. It
@@ -384,42 +387,50 @@ func NewHeap[E Entry](capacity units.Size, _ bool) *DeadlineHeap[E] {
 	return &DeadlineHeap[E]{base: base[E]{capacity: capacity}}
 }
 
-func (d *DeadlineHeap[E]) less(i, j int) bool {
-	a, b := &d.h[i], &d.h[j]
+// before reports whether a sorts before b: earlier deadline, then
+// earlier arrival.
+func before[E Entry](a, b *heapEntry[E]) bool {
 	if a.deadline != b.deadline {
 		return a.deadline < b.deadline
 	}
 	return a.seq < b.seq
 }
 
-// up is container/heap's up.
+// up is container/heap's up. It keeps a pointer to the rising entry, so
+// each level looks up one page slot.
 func (d *DeadlineHeap[E]) up(j int) {
-	for {
+	pj := d.h.At(j)
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !d.less(j, i) {
+		pi := d.h.At(i)
+		if !before(pj, pi) {
 			break
 		}
-		d.h[i], d.h[j] = d.h[j], d.h[i]
-		j = i
+		*pi, *pj = *pj, *pi
+		j, pj = i, pi
 	}
 }
 
-// down is container/heap's down over the first n entries.
+// down is container/heap's down over the first n entries. It keeps a
+// pointer to the sinking entry, so each level looks up only the children.
 func (d *DeadlineHeap[E]) down(i, n int) {
+	pi := d.h.At(i)
 	for {
 		j1 := 2*i + 1
 		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && d.less(j2, j1) {
-			j = j2 // right child
+		j, pj := j1, d.h.At(j1) // left child
+		if j2 := j1 + 1; j2 < n {
+			if p2 := d.h.At(j2); before(p2, pj) {
+				j, pj = j2, p2 // right child
+			}
 		}
-		if !d.less(j, i) {
+		if !before(pj, pi) {
 			break
 		}
-		d.h[i], d.h[j] = d.h[j], d.h[i]
-		i = j
+		*pi, *pj = *pj, *pi
+		i, pi = j, pj
 	}
 }
 
@@ -427,32 +438,31 @@ func (d *DeadlineHeap[E]) down(i, n int) {
 func (d *DeadlineHeap[E]) Push(e E) {
 	s := e.Stamps()
 	d.pushAccounting(s.Size, "heap")
-	d.h = append(d.h, heapEntry[E]{e, s.Deadline, d.arrivalSeq})
-	d.up(len(d.h) - 1)
+	d.h.Push(heapEntry[E]{e, s.Deadline, d.arrivalSeq})
+	d.up(d.h.Len() - 1)
 	d.arrivalSeq++
 }
 
 // Head returns the minimum-deadline stored entry.
 func (d *DeadlineHeap[E]) Head() E {
-	if len(d.h) == 0 {
+	if d.h.Len() == 0 {
 		var zero E
 		return zero
 	}
-	return d.h[0].e
+	return d.h.At(0).e
 }
 
 // Pop removes and returns the minimum-deadline stored entry.
 func (d *DeadlineHeap[E]) Pop() E {
-	n := len(d.h) - 1
+	n := d.h.Len() - 1
 	if n < 0 {
 		var zero E
 		return zero
 	}
-	d.h[0], d.h[n] = d.h[n], d.h[0]
+	root, last := d.h.At(0), d.h.At(n)
+	*root, *last = *last, *root
 	d.down(0, n)
-	top := d.h[n]
-	d.h[n] = heapEntry[E]{}
-	d.h = d.h[:n]
+	top := d.h.Pop()
 	s := top.e.Stamps()
 	if s.Deadline != top.deadline {
 		panic(fmt.Sprintf("pqueue: %v: deadline changed from %v while in a heap buffer",
@@ -463,12 +473,12 @@ func (d *DeadlineHeap[E]) Pop() E {
 }
 
 // Len returns the number of stored entries.
-func (d *DeadlineHeap[E]) Len() int { return len(d.h) }
+func (d *DeadlineHeap[E]) Len() int { return d.h.Len() }
 
 // Scan visits stored entries in heap (unspecified) order.
 func (d *DeadlineHeap[E]) Scan(fn func(E)) {
-	for _, e := range d.h {
-		fn(e.e)
+	for i := 0; i < d.h.Len(); i++ {
+		fn(d.h.At(i).e)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"deadlineqos/internal/units"
@@ -112,22 +113,32 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return append(dst, `{"ph":"M","pid":1,"name":"process_name","args":{"name":"packets"}}`...)
 	})
 
-	// Group event indices by packet, preserving recording (time) order
-	// within each packet and first-appearance order across packets.
-	byPkt := make(map[uint64][]int)
-	var order []uint64
-	events := t.Events()
-	for i := range events {
-		id := events[i].Pkt
-		if _, ok := byPkt[id]; !ok {
-			order = append(order, id)
-		}
-		byPkt[id] = append(byPkt[id], i)
+	// Group the events by packet: each packet's events stably by time,
+	// which keeps their causal order at equal times, and the tracks by
+	// (first event time, packet id). Neither depends on how the run was
+	// split across shards, though a packet's life may span several
+	// shard logs.
+	byPkt := make(map[uint64][]*Event)
+	if t != nil {
+		t.cut()
+		t.each(func(ev *Event) { byPkt[ev.Pkt] = append(byPkt[ev.Pkt], ev) })
 	}
+	order := make([]uint64, 0, len(byPkt))
+	for id, evs := range byPkt {
+		sort.SliceStable(evs, func(a, b int) bool { return evs[a].T < evs[b].T })
+		order = append(order, id)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ta, tb := byPkt[order[a]][0].T, byPkt[order[b]][0].T
+		if ta != tb {
+			return ta < tb
+		}
+		return order[a] < order[b]
+	})
 
 	for _, id := range order {
-		idx := byPkt[id]
-		first := &events[idx[0]]
+		evs := byPkt[id]
+		first := evs[0]
 		cw.event(func(dst []byte) []byte {
 			dst = append(dst, `{"ph":"M","pid":1,"tid":`...)
 			dst = strconv.AppendUint(dst, id, 10)
@@ -172,8 +183,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				return dst
 			})
 		}
-		for _, i := range idx {
-			ev := &events[i]
+		for _, ev := range evs {
 			if name := spanName(ev); name != "" {
 				closeSpan(ev.T)
 				openName, openAt, openEv = name, ev.T, ev

@@ -28,10 +28,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
 	"deadlineqos/internal/packet"
+	"deadlineqos/internal/paged"
 	"deadlineqos/internal/units"
 )
 
@@ -177,9 +179,11 @@ type Config struct {
 	// Seed salts the sampling hash. Use the run's traffic seed to make
 	// the sampled set a pure function of the run configuration.
 	Seed uint64
-	// MaxEvents caps the stored event count (default 1<<20). Events past
-	// the cap are counted in Dropped and discarded, bounding memory on
-	// runaway configurations.
+	// MaxEvents caps the stored event count (default 1<<20): the
+	// tracer keeps the first MaxEvents events in the canonical (time,
+	// line) order WriteJSONL emits and counts the rest in Dropped,
+	// bounding memory on runaway configurations. The kept set is the
+	// same whether the run was split across shards or not.
 	MaxEvents int
 	// Flight, when non-nil, tees every recorded event into a fixed-size
 	// ring of recent events (see FlightRecorder). Shard clones get their
@@ -201,9 +205,20 @@ const DefaultMaxEvents = 1 << 20
 type Tracer struct {
 	cfg       Config
 	threshold uint64 // hash < threshold => sampled
-	events    []Event
-	dropped   uint64
-	sampled   uint64 // KindGenerated events, i.e. sampled packet count
+	// log holds the events this tracer recorded, in pages, and absorbed
+	// the logs Absorb moved in from shard clones. A log is in recording
+	// order, which is time order, because every event is stamped with
+	// the recording engine's clock.
+	log      paged.Array[Event]
+	absorbed []paged.Array[Event]
+	// limit is Infinity until log holds MaxEvents events, then the time
+	// of the last of them: events at that instant are still stored,
+	// later ones are dropped. So a shard's log holds every event that
+	// can be among the first MaxEvents of the whole run, and cut makes
+	// the final choice.
+	limit   units.Time
+	dropped uint64
+	sampled uint64 // stored KindGenerated events, i.e. sampled packet count
 
 	hopSlack []slackAgg      // per route-hop aggregation of dequeue slack
 	flight   *FlightRecorder // recent-event ring (nil = off)
@@ -259,7 +274,7 @@ func New(cfg Config) (*Tracer, error) {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = DefaultMaxEvents
 	}
-	t := &Tracer{cfg: cfg, flight: cfg.Flight}
+	t := &Tracer{cfg: cfg, flight: cfg.Flight, limit: units.Infinity}
 	switch {
 	case cfg.SampleRate >= 1:
 		t.threshold = ^uint64(0)
@@ -313,38 +328,131 @@ func (t *Tracer) Record(ev Event) {
 		}
 		return
 	}
-	if len(t.events) >= t.cfg.MaxEvents {
+	if ev.T > t.limit {
 		t.dropped++
 		return
 	}
 	if ev.Kind == KindGenerated {
 		t.sampled++
 	}
-	t.events = append(t.events, ev)
+	t.log.Push(ev)
+	if t.log.Len() == t.cfg.MaxEvents {
+		t.limit = ev.T
+	}
 }
 
-// Events returns the recorded events in recording order (a live slice; do
-// not mutate).
+// eachLog calls fn for the tracer's own log, then for each absorbed one.
+func (t *Tracer) eachLog(fn func(*paged.Array[Event])) {
+	fn(&t.log)
+	for i := range t.absorbed {
+		fn(&t.absorbed[i])
+	}
+}
+
+// each calls fn for every stored event, log by log in recording order.
+func (t *Tracer) each(fn func(*Event)) {
+	t.eachLog(func(l *paged.Array[Event]) {
+		for i := 0; i < l.Len(); i++ {
+			fn(l.At(i))
+		}
+	})
+}
+
+// stored returns the number of stored events.
+func (t *Tracer) stored() int {
+	n := 0
+	t.eachLog(func(l *paged.Array[Event]) { n += l.Len() })
+	return n
+}
+
+// cut keeps the first MaxEvents stored events in the canonical (time,
+// line) order and counts the rest as dropped. Every reader calls it
+// first; it does nothing while the cap does not bind.
+func (t *Tracer) cut() {
+	n := t.stored()
+	if n <= t.cfg.MaxEvents {
+		return
+	}
+	times := make([]units.Time, 0, n)
+	t.each(func(ev *Event) { times = append(times, ev.T) })
+	slices.Sort(times)
+	at := times[t.cfg.MaxEvents-1]
+	room := t.cfg.MaxEvents - sort.Search(n, func(i int) bool { return times[i] >= at })
+	// Of the events at the cut instant, the first room in line order stay.
+	var lines []string
+	t.each(func(ev *Event) {
+		if ev.T == at {
+			lines = append(lines, string(ev.appendJSON(nil)))
+		}
+	})
+	sort.Strings(lines)
+	keep := make(map[string]int, room)
+	for _, l := range lines[:room] {
+		keep[l]++
+	}
+	take := func(ev *Event) bool {
+		line := string(ev.appendJSON(nil))
+		if keep[line] == 0 {
+			return false
+		}
+		keep[line]--
+		return true
+	}
+	t.eachLog(func(l *paged.Array[Event]) {
+		w := 0
+		for r := 0; r < l.Len(); r++ {
+			ev := l.At(r)
+			if ev.T < at || ev.T == at && take(ev) {
+				*l.At(w) = *ev
+				w++
+				continue
+			}
+			t.dropped++
+			if ev.Kind == KindGenerated {
+				t.sampled--
+			}
+		}
+		l.Truncate(w)
+	})
+}
+
+// Len returns the number of stored events.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	t.cut()
+	return t.stored()
+}
+
+// Events returns a copy of the stored events, each log in recording
+// order and the logs of shard clones in the order Absorb took them. It
+// is for tests and tools: the writers walk the pages themselves.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	out := make([]Event, 0, t.Len())
+	t.each(func(ev *Event) { out = append(out, *ev) })
+	return out
 }
 
-// Dropped returns how many events were discarded after MaxEvents filled.
+// Dropped returns how many events the event cap discarded.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
+	t.cut()
 	return t.dropped
 }
 
-// SampledPackets returns how many packets were selected for tracing.
+// SampledPackets returns how many sampled packets have their generation
+// event stored (every sampled packet while the event cap does not bind).
 func (t *Tracer) SampledPackets() uint64 {
 	if t == nil {
 		return 0
 	}
+	t.cut()
 	return t.sampled
 }
 
@@ -356,7 +464,7 @@ func (t *Tracer) Clone() *Tracer {
 	if t == nil {
 		return nil
 	}
-	return &Tracer{cfg: t.cfg, threshold: t.threshold, flight: t.flight.Clone()}
+	return &Tracer{cfg: t.cfg, threshold: t.threshold, flight: t.flight.Clone(), limit: units.Infinity}
 }
 
 // Flight returns the tracer's flight-recorder ring (nil when off). In a
@@ -370,16 +478,16 @@ func (t *Tracer) Flight() *FlightRecorder {
 	return t.flight
 }
 
-// Absorb merges other's recorded state into t: events are appended and the
-// drop/sample counters and per-hop slack aggregates are summed (all
-// integer, so the result is independent of absorb order). Call SortEvents
-// after the last Absorb to restore the canonical time order. other is
-// drained and must not record afterwards.
+// Absorb merges other's recorded state into t: other's event logs move
+// over page by page, without copying an event, and the drop/sample
+// counters and per-hop slack aggregates are summed (all integer, so the
+// result is independent of absorb order). other is drained and must not
+// record afterwards.
 func (t *Tracer) Absorb(other *Tracer) {
 	if t == nil || other == nil {
 		return
 	}
-	t.events = append(t.events, other.events...)
+	t.absorbed = append(append(t.absorbed, other.log), other.absorbed...)
 	t.dropped += other.dropped
 	t.sampled += other.sampled
 	t.flight.Absorb(other.flight)
@@ -389,39 +497,8 @@ func (t *Tracer) Absorb(other *Tracer) {
 		}
 		t.hopSlack[hop].merge(a)
 	}
-	other.events = nil
+	other.log, other.absorbed = paged.Array[Event]{}, nil
 	other.hopSlack = nil
-}
-
-// SortEvents sorts the stored events into the canonical (time, rendered
-// JSON) order WriteJSONL emits. A sequential run already records in time
-// order, so this is only needed after merging shard tracers — chiefly so
-// the Chrome export walks each packet's life chronologically.
-func (t *Tracer) SortEvents() {
-	if t == nil {
-		return
-	}
-	evs := t.events
-	lines := make([][]byte, len(evs))
-	for i := range evs {
-		lines[i] = evs[i].appendJSON(nil)
-	}
-	idx := make([]int, len(evs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ea, eb := &evs[idx[a]], &evs[idx[b]]
-		if ea.T != eb.T {
-			return ea.T < eb.T
-		}
-		return bytes.Compare(lines[idx[a]], lines[idx[b]]) < 0
-	})
-	out := make([]Event, len(evs))
-	for i, j := range idx {
-		out[i] = evs[j]
-	}
-	t.events = out
 }
 
 // WriteJSONL writes one JSON object per event. Lines are emitted in the
@@ -438,11 +515,11 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		at   units.Time
 		line []byte
 	}
-	lines := make([]rendered, len(t.events))
-	for i := range t.events {
-		buf := t.events[i].appendJSON(make([]byte, 0, 256))
-		lines[i] = rendered{t.events[i].T, append(buf, '\n')}
-	}
+	lines := make([]rendered, 0, t.Len())
+	t.each(func(ev *Event) {
+		buf := ev.appendJSON(make([]byte, 0, 256))
+		lines = append(lines, rendered{ev.T, append(buf, '\n')})
+	})
 	sort.SliceStable(lines, func(a, b int) bool {
 		if lines[a].at != lines[b].at {
 			return lines[a].at < lines[b].at

@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"deadlineqos/internal/packet"
+	"deadlineqos/internal/paged"
 	"deadlineqos/internal/units"
 )
 
@@ -258,5 +260,63 @@ func TestProfileFinalize(t *testing.T) {
 	}
 	if s := p.String(); !strings.Contains(s, "rate=4.00M ev/s") {
 		t.Errorf("profile string missing rate: %q", s)
+	}
+}
+
+// TestAbsorbPagedShardLogs: three clones record interleaved shares of
+// one time-ordered stream, each more than two pages long, and the root
+// absorbs their logs. Absorb moves the pages (an event keeps its
+// address), and the root's exports and counters equal those of one
+// tracer that recorded the whole stream, with the default cap and with
+// caps that cut inside a page and at an instant shared by the shards.
+func TestAbsorbPagedShardLogs(t *testing.T) {
+	const perShard = 2*paged.PageLen + 100
+	record := func(single *Tracer, clones []*Tracer) {
+		for i := 0; i < perShard; i++ {
+			for k, c := range clones {
+				ev := Event{T: units.Time(i / 3), Kind: Kind(i % 3), Pkt: uint64(k<<20 + i/3), Node: k}
+				single.Record(ev)
+				c.Record(ev)
+			}
+		}
+	}
+	exports := func(tr *Tracer) string {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "len=%d dropped=%d sampled=%d\n", tr.Len(), tr.Dropped(), tr.SampledPackets())
+		if err := tr.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, max := range []int{0, 1000, 1001, 2*paged.PageLen + 1} {
+		single, _ := New(Config{SampleRate: 1, MaxEvents: max})
+		root, _ := New(Config{SampleRate: 1, MaxEvents: max})
+		clones := []*Tracer{root.Clone(), root.Clone(), root.Clone()}
+		record(single, clones)
+		if max == 0 {
+			addr := clones[1].log.At(paged.PageLen + 1)
+			for _, c := range clones {
+				root.Absorb(c)
+			}
+			if root.absorbed[1].At(paged.PageLen+1) != addr {
+				t.Fatal("Absorb copied a shard's events instead of moving its pages")
+			}
+		} else {
+			for _, c := range clones {
+				root.Absorb(c)
+			}
+		}
+		want, got := exports(single), exports(root)
+		if want != got {
+			wh, _, _ := strings.Cut(want, "\n")
+			gh, _, _ := strings.Cut(got, "\n")
+			t.Errorf("cap %d: absorbed shard logs export %q, one tracer %q", max, gh, wh)
+		}
+		if wantLen := min(3*perShard, max); max > 0 && single.Len() != wantLen {
+			t.Errorf("cap %d: %d events kept, want %d", max, single.Len(), wantLen)
+		}
 	}
 }
