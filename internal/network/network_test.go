@@ -614,3 +614,24 @@ func TestResultsLinkCounters(t *testing.T) {
 			res.XbarTransfers, res.LinkSends)
 	}
 }
+
+// BenchmarkArchitectures measures one full-load run per architecture, the
+// per-run cost entering every experiment sweep, and the only reading of
+// the Traditional architecture's cost.
+func BenchmarkArchitectures(b *testing.B) {
+	for _, a := range arch.All() {
+		b.Run(a.Flag(), func(b *testing.B) {
+			cfg := SmallConfig()
+			cfg.Arch = a
+			cfg.Load = 1.0
+			cfg.WarmUp = 0
+			cfg.Measure = 2 * units.Millisecond
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = uint64(i + 1)
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -153,3 +153,28 @@ func BenchmarkDeepHeap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuffers measures push+pop through the three buffer disciplines
+// under a deadline-shuffled workload — the per-packet cost that separates
+// the Ideal architecture's heap from the paper's FIFO-based designs.
+func BenchmarkBuffers(b *testing.B) {
+	for _, d := range []Discipline{FIFO, Heap, TakeOver} {
+		b.Run(d.String(), func(b *testing.B) {
+			rng := xrand.New(1)
+			buf := New(d, 1<<40, false)
+			pkts := make([]*packet.Packet, 64)
+			dl := units.Time(0)
+			for i := range pkts {
+				dl += units.Time(rng.UniformInt(-5, 40)) // mostly increasing
+				pkts[i] = &packet.Packet{ID: uint64(i + 1), Deadline: dl, Size: 64}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Push(pkts[i%len(pkts)])
+				if buf.Len() >= 32 {
+					buf.Pop()
+				}
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/units"
+	"deadlineqos/internal/xrand"
 )
 
 func TestEventsFireInTimeOrder(t *testing.T) {
@@ -527,4 +528,65 @@ func TestPostFireAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("After+fire of a bound func allocates %v times per event, want 0", n)
 	}
+}
+
+// engineDelayMix is the distribution of post delays measured on the 16-host
+// Clos at full load (Advanced, seed 1, 22 ms): the share of posts in each
+// power-of-two band [lo, 2*lo) cycles. Credit returns take 16-31 cycles,
+// link and crossbar completions 128-4095, traffic emission and timers
+// longer. The 0.3% of posts in other bands below 4096 and the 0.14% beyond
+// 64k cycles are left out, the latter so that far events do not pile up in
+// a standing set of fixed size.
+var engineDelayMix = []struct {
+	lo    units.Time
+	share float64
+}{
+	{16, 0.257}, {128, 0.265}, {256, 0.146}, {512, 0.094}, {1024, 0.115},
+	{2048, 0.103}, {4096, 0.009}, {8192, 0.005}, {16384, 0.002}, {32768, 0.001},
+}
+
+// BenchmarkEngine measures the discrete-event core: schedule+fire of one
+// event at a realistic pending-set size and delay mix. A standing set of
+// 4,096 events (the peak pending count of the full-load Clos run) re-posts
+// itself with delays drawn from engineDelayMix, so the engine serves the
+// same split of near and far events the simulator gives it.
+func BenchmarkEngine(b *testing.B) {
+	rng := xrand.New(1)
+	var total float64
+	for _, band := range engineDelayMix {
+		total += band.share
+	}
+	delays := make([]units.Time, 1<<16)
+	for i := range delays {
+		x := rng.Float64() * total
+		band := engineDelayMix[len(engineDelayMix)-1]
+		for _, bd := range engineDelayMix {
+			if x < bd.share {
+				band = bd
+				break
+			}
+			x -= bd.share
+		}
+		delays[i] = band.lo + units.Time(rng.Int63n(int64(band.lo)))
+	}
+	eng := New()
+	fired, stopAt := 0, 0
+	var step func()
+	step = func() {
+		eng.After(delays[fired&(len(delays)-1)], step)
+		fired++
+		if fired == stopAt {
+			eng.Stop()
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		eng.After(delays[len(delays)-1-i], step)
+	}
+	// Warm up until the set holds its steady mix of near and far events.
+	stopAt = 200_000
+	eng.Drain()
+	b.ResetTimer()
+	stopAt += b.N
+	eng.Drain()
+	b.ReportMetric(1, "events/op")
 }

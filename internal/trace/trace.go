@@ -506,32 +506,45 @@ func (t *Tracer) Absorb(other *Tracer) {
 // tracers holding the same multiset of events — a sequential run and a
 // merged sharded run — produce byte-identical output (the replayability
 // contract tested in internal/network). The fixed field order of the
-// rendering makes the per-line bytes themselves stable.
+// rendering makes the per-line bytes themselves stable. Every log is in
+// time order, so the logs are merged by time and only one instant's
+// lines are rendered and sorted at once, in buffers reused throughout.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	type rendered struct {
-		at   units.Time
-		line []byte
-	}
-	lines := make([]rendered, 0, t.Len())
-	t.each(func(ev *Event) {
-		buf := ev.appendJSON(make([]byte, 0, 256))
-		lines = append(lines, rendered{ev.T, append(buf, '\n')})
-	})
-	sort.SliceStable(lines, func(a, b int) bool {
-		if lines[a].at != lines[b].at {
-			return lines[a].at < lines[b].at
+	t.cut()
+	var logs []*paged.Array[Event]
+	t.eachLog(func(l *paged.Array[Event]) { logs = append(logs, l) })
+	next := make([]int, len(logs))
+	lines, spans := make([]byte, 0, 4<<10), make([][2]int, 0, 64) // one instant's lines
+	for {
+		at, found := units.Time(0), false
+		for i, l := range logs {
+			if next[i] < l.Len() && (!found || l.At(next[i]).T < at) {
+				at, found = l.At(next[i]).T, true
+			}
 		}
-		return bytes.Compare(lines[a].line, lines[b].line) < 0
-	})
-	for i := range lines {
-		if _, err := w.Write(lines[i].line); err != nil {
-			return fmt.Errorf("trace: writing JSONL: %w", err)
+		if !found {
+			return nil
+		}
+		lines, spans = lines[:0], spans[:0]
+		for i, l := range logs {
+			for ; next[i] < l.Len() && l.At(next[i]).T == at; next[i]++ {
+				start := len(lines)
+				lines = append(l.At(next[i]).appendJSON(lines), '\n')
+				spans = append(spans, [2]int{start, len(lines)})
+			}
+		}
+		slices.SortFunc(spans, func(a, b [2]int) int {
+			return bytes.Compare(lines[a[0]:a[1]], lines[b[0]:b[1]])
+		})
+		for _, sp := range spans {
+			if _, err := w.Write(lines[sp[0]:sp[1]]); err != nil {
+				return fmt.Errorf("trace: writing JSONL: %w", err)
+			}
 		}
 	}
-	return nil
 }
 
 // HopSlackStat summarises the dequeue slack observed at one route hop

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -318,5 +319,29 @@ func TestAbsorbPagedShardLogs(t *testing.T) {
 		if wantLen := min(3*perShard, max); max > 0 && single.Len() != wantLen {
 			t.Errorf("cap %d: %d events kept, want %d", max, single.Len(), wantLen)
 		}
+	}
+}
+
+// TestWriteJSONLAllocatesPerWriteNotPerEvent: writing the merged logs of
+// two shard clones, 40,000 events with four to an instant on each shard,
+// allocates a small constant number of times, not once per line.
+func TestWriteJSONLAllocatesPerWriteNotPerEvent(t *testing.T) {
+	root, _ := New(Config{SampleRate: 1})
+	clones := []*Tracer{root.Clone(), root.Clone()}
+	for i := 0; i < 20000; i++ {
+		for k, c := range clones {
+			c.Record(Event{T: units.Time(i / 4), Kind: Kind(i % 3), Pkt: uint64(k<<20 + i), Node: k})
+		}
+	}
+	for _, c := range clones {
+		root.Absorb(c)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := root.WriteJSONL(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("WriteJSONL of %d events allocates %v times, want at most 10", root.Len(), allocs)
 	}
 }
