@@ -9,8 +9,10 @@
 // with the live metrics plane (simrate_metrics), gated on engine
 // events/s and mallocs/event; and the paper-scale 128-host MIN at 1/2/4/8
 // shards (parsim), gated on engine wall time per shard count. Every
-// reading is the best of -iters runs of the engines alone (Results.Perf),
-// set-up excluded, and the gate and -write take it through the same code.
+// throughput and wall-time reading is the best of -iters runs of the
+// engines alone (Results.Perf), set-up excluded; mallocs/event is the
+// total over all -iters runs. The gate and -write take both through the
+// same code.
 //
 // Throughput gating is only meaningful on a machine that resembles the
 // baseline's: qosbench refuses to gate or write with GOMAXPROCS <= 1
@@ -112,9 +114,11 @@ type baseline struct {
 }
 
 // row is the best of iters runs at one shard count, the one with the
-// highest engine events/s. Event counts differ across shard counts (a
-// cross-shard hop is an event on both engines), so Speedup compares wall
-// times: the first row's over this one's.
+// highest engine events/s, except MallocsPerEvent: the seed, not the run,
+// fixes how much a run allocates, so it is the mallocs of all iters runs
+// over their events, not the fastest seed's. Event counts differ across
+// shard counts (a cross-shard hop is an event on both engines), so
+// Speedup compares wall times: the first row's over this one's.
 type row struct {
 	Shards          int     `json:"shards"`
 	Events          uint64  `json:"events"`
@@ -233,7 +237,8 @@ func gateOrWrite(name, dir string, write bool, tol float64, iters int, slowdown 
 }
 
 // measure runs the scenario iters times at each shard count and keeps
-// the run with the highest engine events/s per count.
+// the run with the highest engine events/s per count, with the
+// mallocs/event of all the runs together.
 func measure(sc *scenario, iters int) (baseline, error) {
 	b := baseline{Scenario: sc.name, Iters: iters, GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU: runtime.NumCPU(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, GoVersion: runtime.Version()}
@@ -243,6 +248,7 @@ func measure(sc *scenario, iters int) (baseline, error) {
 	}
 	for _, shards := range counts {
 		var best trace.Profile
+		var mallocs, events uint64
 		for i := 0; i < iters; i++ {
 			cfg, err := sc.config(uint64(i + 1))
 			if err != nil {
@@ -258,10 +264,15 @@ func measure(sc *scenario, iters int) (baseline, error) {
 			if i == 0 || res.Perf.EventsPerSec > best.EventsPerSec {
 				best = res.Perf
 			}
+			mallocs += res.Perf.Mallocs
+			events += res.Perf.Events
 			b.Topology = cfg.Topology.Name()
 		}
 		r := row{Shards: max(shards, 1), Events: best.Events, WallNs: best.WallNs,
-			EventsPerSec: best.EventsPerSec, MallocsPerEvent: best.MallocsPerEvent, Speedup: 1}
+			EventsPerSec: best.EventsPerSec, Speedup: 1}
+		if events > 0 {
+			r.MallocsPerEvent = float64(mallocs) / float64(events)
+		}
 		if len(b.Runs) > 0 && r.WallNs > 0 {
 			r.Speedup = float64(b.Runs[0].WallNs) / float64(r.WallNs)
 		}

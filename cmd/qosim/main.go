@@ -14,7 +14,9 @@
 //     CAC delegates, -local keeps session destinations intra-pod, and -csv
 //     writes the session time series (needs -probe).
 //   - trace: -trace DIR writes the lifecycle events of a sampled packet
-//     subset (-sample, -maxevents) as trace.jsonl and trace_chrome.json
+//     subset (-sample, -maxevents; -sample 1 traces every packet, so the
+//     gen, inject and deliver lines of trace.jsonl list every packet's
+//     generation, injection and delivery) as trace.jsonl and trace_chrome.json
 //     (load in https://ui.perfetto.dev) and, with -probe, the per-port and
 //     engine telemetry as telemetry.csv and telemetry.json into DIR.
 //   - policy: -policy selects the scheduling policy and -coflows attaches
@@ -34,7 +36,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -259,7 +260,6 @@ func run() error {
 		coflows     = cli.CoflowsFlag()
 		skew        = flag.String("skew", "0", "max per-node clock skew (e.g. 5us)")
 		videoTrace  = flag.String("videotrace", "", "MPEG frame-size trace file for video streams (see traffic.LoadFrameTrace)")
-		dump        = flag.String("dump", "", "write a per-packet event CSV (generated/injected/delivered) to this file")
 		jsonOut     = flag.String("json", "", "write a result snapshot (diff two with qosbench -before -after) to this file")
 		probe       = flag.String("probe", "", "telemetry probe interval (e.g. 100us; empty = off)")
 		police      = flag.Bool("police", false, "enforce per-flow token-bucket policing at NIC ingress")
@@ -375,29 +375,6 @@ func run() error {
 		}
 		defer srv.Close()
 	}
-	if *dump != "" {
-		f, err := os.Create(*dump)
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		defer func() {
-			w.Flush()
-			f.Close()
-		}()
-		fmt.Fprintln(w, "event,time_ns,id,flow,class,src,dst,size,seq,deadline_ns,frame")
-		line := func(ev string, p *packet.Packet, at units.Time) {
-			fmt.Fprintf(w, "%s,%d,%d,%d,%s,%d,%d,%d,%d,%d,%d\n",
-				ev, int64(at), p.ID, p.Flow, p.Class, p.Src, p.Dst,
-				int64(p.Size), p.Seq, int64(p.Deadline), p.FrameID)
-		}
-		cfg.Trace = network.Trace{
-			Generated: func(p *packet.Packet) { line("gen", p, p.CreatedAt) },
-			Injected:  func(p *packet.Packet, at units.Time) { line("inj", p, at) },
-			Delivered: func(p *packet.Packet, at units.Time) { line("dlv", p, at) },
-		}
-	}
-
 	fmt.Printf("topology=%s arch=%s policy=%s load=%.0f%% seed=%d window=[%v, %v]\n",
 		topo.Name(), a, cfg.Policy.Name(), 100*cfg.Load, cfg.Seed, cfg.WarmUp, horizon)
 	if p := cfg.Faults; p != nil {

@@ -13,6 +13,7 @@ import (
 	"deadlineqos/internal/network"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/topology"
+	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
 
@@ -61,17 +62,26 @@ func TestRingSemantics(t *testing.T) {
 	cfg.WarmUp = 0
 	cfg.Measure = 10 * units.Millisecond
 	cfg.Coflows = &coflow.Config{Chunk: 3000, Rounds: 3}
-	hosts := cfg.Topology.Hosts()
-	arrivals := make([]int, hosts)
-	cfg.Trace.Delivered = func(p *packet.Packet, _ units.Time) {
-		if p.Flow >= coflow.AdmittedBase && p.Flow < coflow.RejectedBase+packet.FlowID(hosts) {
-			arrivals[p.Dst]++
-		}
+	tr, err := trace.New(trace.Config{SampleRate: 1, MaxEvents: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Tracer = tr
 	res, err := network.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d := tr.Dropped(); d > 0 {
+		t.Fatalf("full-sampling tracer dropped %d events at its cap", d)
+	}
+	hosts := cfg.Topology.Hosts()
+	arrivals := make([]int, hosts)
+	tr.Each(func(ev trace.Event) {
+		if ev.Kind == trace.KindDelivered &&
+			ev.Flow >= coflow.AdmittedBase && ev.Flow < coflow.RejectedBase+packet.FlowID(hosts) {
+			arrivals[ev.Dst]++
+		}
+	})
 	if !res.Coflows.AllDone {
 		t.Fatalf("3-round collective incomplete: %d rounds completed", res.Coflows.Completed)
 	}

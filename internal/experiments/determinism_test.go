@@ -225,12 +225,16 @@ func detScenarios() []detScenario {
 		{name: "churn", cfg: churnFull},
 		{name: "churn-observed", twin: "churn",
 			// The same churn with the metrics plane, the flight recorder
-			// and the tightest miss-burst SLO armed. The deterministic
-			// render must name the instruments every layer records into.
+			// (fed by a full-sampling tracer that keeps no log) and the
+			// tightest miss-burst SLO armed. The deterministic render
+			// must name the instruments every layer records into.
 			cfg: func() network.Config {
 				cfg := churnFull()
 				cfg.Metrics = metrics.NewRegistry()
-				cfg.Flight = trace.NewFlightRecorder(0)
+				// New fails only on a sample rate or cap out of range.
+				cfg.Tracer, _ = trace.New(trace.Config{
+					SampleRate: 1, DiscardEvents: true, Flight: trace.NewFlightRecorder(0),
+				})
 				cfg.MissBurstCount = 1
 				return cfg
 			},
@@ -752,7 +756,7 @@ func runFingerprint(t *testing.T, cfg network.Config, shards int, traced bool) (
 		if tr.Dropped() > 0 {
 			t.Fatalf("tracer hit its event cap (%d dropped); raise MaxEvents", tr.Dropped())
 		}
-		if len(tr.Events()) == 0 {
+		if tr.Len() == 0 {
 			t.Fatal("traced run recorded no events")
 		}
 		add("trace-jsonl", func(buf *bytes.Buffer) error { return tr.WriteJSONL(buf) })
@@ -1164,17 +1168,6 @@ func TestMissingFMAFlags(t *testing.T) {
 		if got := strings.Join(missingFMAFlags(tc.info), " "); got != tc.want {
 			t.Errorf("%s: missing %q, want %q", tc.name, got, tc.want)
 		}
-	}
-}
-
-// TestShardsRejectsTraceCallbacks pins the validation rule: user packet
-// callbacks cannot run concurrently on shard goroutines.
-func TestShardsRejectsTraceCallbacks(t *testing.T) {
-	cfg := detBase()
-	cfg.Shards = 2
-	cfg.Trace = network.Trace{Generated: func(p *packet.Packet) {}}
-	if _, err := network.New(cfg); err == nil {
-		t.Fatal("Shards > 1 with Trace callbacks must be rejected")
 	}
 }
 

@@ -172,20 +172,16 @@ type Config struct {
 	// Results.Conservation is always collected.
 	CheckInvariants bool
 
-	// Trace, when set, receives every packet event in addition to the
-	// statistics collector: generation (deadline freshly stamped),
-	// injection (first byte on the wire) and delivery (arrival at the
-	// destination NIC). Packet pointers are live simulator objects —
-	// copy what you keep.
-	Trace Trace
-
 	// Tracer, when non-nil, records the full lifecycle of a sampled
 	// subset of packets (see internal/trace): NIC queueing, eligible-time
 	// holds, per-hop VOQ/output-buffer transits, take-overs, order
 	// errors, drops and delivery. Sampling is decided at generation by a
 	// deterministic hash, so the same seed and rate trace the same
 	// packets. Nil disables tracing entirely; the fast path then costs a
-	// single nil check per event site.
+	// single nil check per event site. The tracer is the run's only
+	// per-packet observer: at SampleRate 1 it sees every generation,
+	// injection and delivery at any shard count, and a FlightRecorder on
+	// its Config (with DiscardEvents to keep no log) arms the flight ring.
 	Tracer *trace.Tracer
 
 	// Metrics, when non-nil, turns on the always-on metrics plane (see
@@ -198,19 +194,8 @@ type Config struct {
 	// facts recorded at event time.
 	Metrics *metrics.Registry
 
-	// Flight, when non-nil, arms the flight recorder: a fixed-size ring
-	// of the most recent packet-lifecycle events, captured by a hidden
-	// full-sampling tracer that stores nothing outside the ring and
-	// cannot perturb results. The ring freezes shortly after a trip —
-	// an invariant-audit failure, a conservation violation, or the
-	// MissBurst SLO below — preserving the events leading up to it.
-	// Mutually exclusive with Tracer (the user tracer's own sampling
-	// would blind the ring; attach a FlightRecorder to the Tracer's
-	// Config instead to combine them).
-	Flight *trace.FlightRecorder
-
 	// MissBurstCount and MissBurstWindow define the deadline-miss-burst
-	// SLO that trips the flight recorder: MissBurstCount missed
+	// SLO that trips the Tracer's flight recorder: MissBurstCount missed
 	// deliveries on one shard within MissBurstWindow of simulated time.
 	// Zero count disables the SLO; zero window with a positive count
 	// defaults to 1 ms.
@@ -248,15 +233,6 @@ type Config struct {
 	// InfiniBand arbitration tables. Deadline-aware architectures ignore
 	// it.
 	VCArbitrationTable []packet.VC
-}
-
-// Trace is a set of optional packet-event callbacks. The packet a callback
-// is handed is valid only during the call: it may be recycled as soon as
-// the callback returns, so a callback copies whatever it keeps.
-type Trace struct {
-	Generated func(p *packet.Packet)
-	Injected  func(p *packet.Packet, now units.Time)
-	Delivered func(p *packet.Packet, now units.Time)
 }
 
 // DegradedLink identifies one derated switch output link.
@@ -408,12 +384,6 @@ func (cfg *Config) validate() error {
 		if cfg.Reliability.Enabled && cfg.Reliability.WithDefaults().AckDelay < 1 {
 			return fmt.Errorf("network: Shards > 1 needs a positive reliability AckDelay for lookahead")
 		}
-		if t := cfg.Trace; t.Generated != nil || t.Injected != nil || t.Delivered != nil {
-			return fmt.Errorf("network: Trace callbacks are not supported with Shards > 1 (they would run concurrently on shard goroutines)")
-		}
-	}
-	if cfg.Flight != nil && cfg.Tracer != nil {
-		return fmt.Errorf("network: Flight and Tracer are mutually exclusive (set trace.Config.Flight on the Tracer instead)")
 	}
 	if cfg.MissBurstCount < 0 {
 		return fmt.Errorf("network: miss-burst count %d is negative", cfg.MissBurstCount)

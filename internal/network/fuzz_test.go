@@ -15,6 +15,7 @@ import (
 	"deadlineqos/internal/hostif"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/topology"
+	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
 
@@ -58,28 +59,34 @@ func TestFuzzMatrixInvariants(t *testing.T) {
 				cfg.ControlDests = 3
 				cfg.BEDests = 3
 
-				var delivered, generated int
-				lastSeq := map[packet.FlowID]int64{}
-				reorders := 0
-				cfg.Trace.Generated = func(*packet.Packet) { generated++ }
-				cfg.Trace.Delivered = func(p *packet.Packet, _ units.Time) {
-					delivered++
-					if last, ok := lastSeq[p.Flow]; ok && int64(p.Seq) <= last {
-						reorders++
-					}
-					lastSeq[p.Flow] = int64(p.Seq)
-				}
+				cfg.Tracer = fullTracer(t)
 				res, err := Run(cfg)
 				if err != nil {
 					// The oversubscribed Clos may reject the video
 					// reservations at high load: a correct admission
 					// outcome, not a failure — rerun at lower load.
 					cfg.Load = 0.4
+					cfg.Tracer = fullTracer(t)
 					res, err = Run(cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 				}
+				var delivered, generated int
+				lastSeq := map[packet.FlowID]int64{}
+				reorders := 0
+				walk(t, cfg.Tracer, func(ev trace.Event) {
+					switch ev.Kind {
+					case trace.KindGenerated:
+						generated++
+					case trace.KindDelivered:
+						delivered++
+						if last, ok := lastSeq[ev.Flow]; ok && int64(ev.Seq) <= last {
+							reorders++
+						}
+						lastSeq[ev.Flow] = int64(ev.Seq)
+					}
+				})
 				if reorders > 0 {
 					t.Errorf("%s: %d out-of-order deliveries", label, reorders)
 				}

@@ -28,13 +28,18 @@ func metricsConfig(shards int) Config {
 }
 
 // TestMissBurstTripsFlightRecorder arms the tightest possible SLO (one
-// missed deadline) under overload and expects the flight ring to freeze
-// with the events leading up to the first miss.
+// missed deadline) under overload and expects the flight ring, fed by a
+// full-sampling tracer that keeps no log, to freeze with the events
+// leading up to the first miss.
 func TestMissBurstTripsFlightRecorder(t *testing.T) {
 	cfg := metricsConfig(2)
 	cfg.Load = 1.0
 	fr := trace.NewFlightRecorder(0)
-	cfg.Flight = fr
+	tr, err := trace.New(trace.Config{SampleRate: 1, DiscardEvents: true, Flight: fr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Tracer = tr
 	cfg.MissBurstCount = 1
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
@@ -66,19 +71,5 @@ func TestMissBurstTripsFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(prom.String(), "qos_host_missed_total") {
 		t.Fatalf("prom render missing qos_host_missed_total:\n%s", prom.String())
-	}
-}
-
-// TestFlightAndTracerMutuallyExclusive pins the validate rule.
-func TestFlightAndTracerMutuallyExclusive(t *testing.T) {
-	cfg := metricsConfig(1)
-	cfg.Flight = trace.NewFlightRecorder(0)
-	tr, err := trace.New(trace.Config{SampleRate: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Tracer = tr
-	if _, err := New(cfg); err == nil {
-		t.Fatal("Flight + Tracer accepted")
 	}
 }

@@ -185,11 +185,6 @@ type Network struct {
 	// telemetry holds the merged probe series after Run (ProbeInterval > 0).
 	telemetry *trace.Telemetry
 
-	// flightTracer is the hidden full-sampling, non-storing tracer that
-	// feeds cfg.Flight when the flight recorder runs without a user
-	// tracer (nil otherwise; shard clones live in netShard.tracer).
-	flightTracer *trace.Tracer
-
 	// Fault replay state (see replay.go): trackFlows fills the registry
 	// of static flows the replay may move, when the plan has switch or
 	// port events or the gray detector is armed.
@@ -250,22 +245,6 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	// The tracer every shard clones: the user's, or — when only the
-	// flight recorder is wanted — a hidden full-sampling tracer that
-	// stores nothing and exists purely to feed the ring. It cannot
-	// perturb results: the Sampled header bit is only ever read at trace
-	// sites, and discard mode keeps no events.
-	rootTracer := cfg.Tracer
-	if cfg.Flight != nil {
-		ft, err := trace.New(trace.Config{
-			SampleRate: 1, Seed: cfg.Seed, DiscardEvents: true, Flight: cfg.Flight,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.flightTracer = ft
-		rootTracer = ft
-	}
 	var sch *metricsSchema
 	if cfg.Metrics != nil {
 		sch = registerSchema(cfg.Metrics)
@@ -280,9 +259,9 @@ func New(cfg Config) (*Network, error) {
 			records: new(packet.Pool[packet.Staged]),
 		}
 		if n.nshards == 1 {
-			sh.tracer = rootTracer
+			sh.tracer = cfg.Tracer
 		} else {
-			sh.tracer = rootTracer.Clone()
+			sh.tracer = cfg.Tracer.Clone()
 		}
 		sh.mtr = sch.newShardMetrics(cfg.Metrics)
 		if cfg.CheckInvariants {
@@ -551,30 +530,6 @@ func (n *Network) hooksFor(sh *netShard) hostif.Hooks {
 			c.Inc()
 			if p.Value > 0 {
 				hm.evValue.Add(uint64(p.Value))
-			}
-		}
-	}
-	if t := n.cfg.Trace; t.Generated != nil || t.Injected != nil || t.Delivered != nil {
-		// User callbacks are rejected by validate when Shards > 1 (they
-		// would run on shard goroutines), so this wrapper only ever wraps
-		// the single sequential shard.
-		base := hooks
-		hooks.Generated = func(p *packet.Packet) {
-			base.Generated(p)
-			if t.Generated != nil {
-				t.Generated(p)
-			}
-		}
-		hooks.Injected = func(p *packet.Packet, now units.Time) {
-			base.Injected(p, now)
-			if t.Injected != nil {
-				t.Injected(p, now)
-			}
-		}
-		hooks.Delivered = func(p *packet.Packet, now units.Time) {
-			base.Delivered(p, now)
-			if t.Delivered != nil {
-				t.Delivered(p, now)
 			}
 		}
 	}
@@ -1282,16 +1237,8 @@ func (n *Network) Run() *Results {
 		n.collect.Merge(sh.collect)
 	}
 	if n.nshards > 1 {
-		if tr := n.cfg.Tracer; tr != nil {
-			for _, sh := range n.shards {
-				tr.Absorb(sh.tracer)
-			}
-		} else if ft := n.flightTracer; ft != nil {
-			// Hidden flight tracer: fold the shard rings into cfg.Flight
-			// (earliest trip wins; no event lists exist in discard mode).
-			for _, sh := range n.shards {
-				ft.Absorb(sh.tracer)
-			}
+		for _, sh := range n.shards {
+			n.cfg.Tracer.Absorb(sh.tracer)
 		}
 		if n.shards[0].telemetry != nil {
 			merged := n.shards[0].telemetry

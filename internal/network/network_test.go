@@ -9,6 +9,7 @@ import (
 	"deadlineqos/internal/hostif"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/topology"
+	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
 
@@ -390,21 +391,47 @@ func TestNoFlowReordersEndToEnd(t *testing.T) {
 	}
 }
 
-// checkNoReorder runs cfg with a delivery trace and fails t if any flow's
-// packets arrive out of sequence order, or if nothing arrives at all.
+// fullTracer returns a tracer that records every packet, with an event
+// cap that no run of these tests reaches (walk checks that it did not).
+func fullTracer(t *testing.T) *trace.Tracer {
+	t.Helper()
+	tr, err := trace.New(trace.Config{SampleRate: 1, MaxEvents: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// walk fails t if tr dropped events at its cap, and otherwise calls fn
+// with every event tr recorded, in recording order.
+func walk(t *testing.T, tr *trace.Tracer, fn func(trace.Event)) {
+	t.Helper()
+	if d := tr.Dropped(); d > 0 {
+		t.Fatalf("full-sampling tracer dropped %d events at its cap", d)
+	}
+	tr.Each(fn)
+}
+
+// checkNoReorder runs cfg with a full-sampling tracer and fails t if any
+// flow's packets arrive out of sequence order, or if nothing arrives at
+// all.
 func checkNoReorder(t *testing.T, cfg Config) {
 	t.Helper()
-	lastSeq := map[packet.FlowID]int64{}
-	violations := 0
-	cfg.Trace.Delivered = func(p *packet.Packet, _ units.Time) {
-		if last, ok := lastSeq[p.Flow]; ok && int64(p.Seq) <= last {
-			violations++
-		}
-		lastSeq[p.Flow] = int64(p.Seq)
-	}
+	cfg.Tracer = fullTracer(t)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	lastSeq := map[packet.FlowID]int64{}
+	violations := 0
+	walk(t, cfg.Tracer, func(ev trace.Event) {
+		if ev.Kind != trace.KindDelivered {
+			return
+		}
+		if last, ok := lastSeq[ev.Flow]; ok && int64(ev.Seq) <= last {
+			violations++
+		}
+		lastSeq[ev.Flow] = int64(ev.Seq)
+	})
 	if violations > 0 {
 		t.Errorf("%v: %d out-of-order deliveries", cfg.Arch, violations)
 	}
@@ -413,21 +440,40 @@ func checkNoReorder(t *testing.T, cfg Config) {
 	}
 }
 
+// TestTraceSeesAllStages: a full-sampling tracer sees every packet's
+// generation, injection and delivery, whether the run is split across
+// shards or not.
 func TestTraceSeesAllStages(t *testing.T) {
-	cfg := quickCfg(arch.Advanced2VC, 0.3)
-	cfg.Measure = 2 * units.Millisecond
-	var gen, inj, dlv int
-	cfg.Trace.Generated = func(*packet.Packet) { gen++ }
-	cfg.Trace.Injected = func(*packet.Packet, units.Time) { inj++ }
-	cfg.Trace.Delivered = func(*packet.Packet, units.Time) { dlv++ }
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if gen == 0 || inj == 0 || dlv == 0 {
-		t.Fatalf("trace missed stages: gen=%d inj=%d dlv=%d", gen, inj, dlv)
-	}
-	if inj > gen || dlv > inj {
-		t.Fatalf("stage counts inconsistent: gen=%d inj=%d dlv=%d", gen, inj, dlv)
+	for _, shards := range []int{1, 2} {
+		cfg := quickCfg(arch.Advanced2VC, 0.3)
+		cfg.Measure = 2 * units.Millisecond
+		cfg.Shards = shards
+		cfg.Tracer = fullTracer(t)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gen, inj, dlv uint64
+		walk(t, cfg.Tracer, func(ev trace.Event) {
+			switch ev.Kind {
+			case trace.KindGenerated:
+				gen++
+			case trace.KindInjected:
+				inj++
+			case trace.KindDelivered:
+				dlv++
+			}
+		})
+		if gen == 0 || inj == 0 || dlv == 0 {
+			t.Fatalf("%d shards: trace missed stages: gen=%d inj=%d dlv=%d", shards, gen, inj, dlv)
+		}
+		if inj > gen || dlv > inj {
+			t.Fatalf("%d shards: stage counts inconsistent: gen=%d inj=%d dlv=%d", shards, gen, inj, dlv)
+		}
+		if c := res.Conservation; gen != c.Generated || inj != c.InjectedCopies || dlv != c.DeliveredUnique {
+			t.Fatalf("%d shards: trace saw gen=%d inj=%d dlv=%d, conservation counts %d, %d, %d",
+				shards, gen, inj, dlv, c.Generated, c.InjectedCopies, c.DeliveredUnique)
+		}
 	}
 }
 
@@ -436,18 +482,19 @@ func TestHotspotSkewsBestEffortDestinations(t *testing.T) {
 	cfg.Measure = 4 * units.Millisecond
 	cfg.HotspotFraction = 0.5
 	cfg.HotspotHost = 3
-	toHot, total := 0, 0
-	cfg.Trace.Generated = func(p *packet.Packet) {
-		if !p.Class.Regulated() {
-			total++
-			if p.Dst == 3 {
-				toHot++
-			}
-		}
-	}
+	cfg.Tracer = fullTracer(t)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	toHot, total := 0, 0
+	walk(t, cfg.Tracer, func(ev trace.Event) {
+		if ev.Kind == trace.KindGenerated && !ev.Class.Regulated() {
+			total++
+			if ev.Dst == 3 {
+				toHot++
+			}
+		}
+	})
 	if total == 0 {
 		t.Fatal("no best-effort packets generated")
 	}
@@ -568,13 +615,22 @@ func TestUnloadedLatencyMatchesAnalyticModel(t *testing.T) {
 		hops int
 		lat  units.Time
 	}
-	var seen []obs
-	cfg.Trace.Delivered = func(p *packet.Packet, now units.Time) {
-		seen = append(seen, obs{p.Size, len(p.Route), now - p.CreatedAt})
-	}
+	cfg.Tracer = fullTracer(t)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	// A delivered packet has crossed one switch per route hop, and its
+	// generation event is its creation time.
+	var seen []obs
+	created := map[uint64]units.Time{}
+	walk(t, cfg.Tracer, func(ev trace.Event) {
+		switch ev.Kind {
+		case trace.KindGenerated:
+			created[ev.Pkt] = ev.T
+		case trace.KindDelivered:
+			seen = append(seen, obs{ev.Size, ev.Hop, ev.T - created[ev.Pkt]})
+		}
+	})
 	if len(seen) < 20 {
 		t.Fatalf("only %d probes delivered", len(seen))
 	}

@@ -39,7 +39,7 @@ func TestTraceRunArtifacts(t *testing.T) {
 	if tr.SampledPackets() == 0 {
 		t.Error("no packets were sampled")
 	}
-	if len(tr.Events()) == 0 {
+	if tr.Len() == 0 {
 		t.Error("no trace events recorded")
 	}
 	if len(tr.HopSlack()) == 0 {

@@ -252,7 +252,11 @@ func Run(opt Options) (*Report, error) {
 		var fr *trace.FlightRecorder
 		if opt.FlightPath != "" {
 			fr = trace.NewFlightRecorder(opt.FlightCap)
-			cfg.Flight = fr
+			tr, err := trace.New(trace.Config{SampleRate: 1, DiscardEvents: true, Flight: fr})
+			if err != nil {
+				return rep, epochErr(opt, epoch, cfg.Seed, err)
+			}
+			cfg.Tracer = tr
 			cfg.MissBurstCount = opt.MissBurstCount
 			cfg.MissBurstWindow = opt.MissBurstWindow
 		}

@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"deadlineqos/internal/units"
@@ -17,24 +18,42 @@ import (
 // Timestamps are microseconds (the format's unit) with nanosecond
 // precision preserved in the fractional part.
 
-// spanName returns the slice name a span-opening event starts, or "" if
-// the kind does not open a span.
-func spanName(ev *Event) string {
-	switch ev.Kind {
+// appendSpan appends the complete ("X") slice the span-opening event open
+// starts and the packet's next span or terminal event ends at until.
+func appendSpan(dst []byte, open *Event, until units.Time) []byte {
+	dst = append(dst, ",\n  "+`{"ph":"X","pid":1,"tid":`...)
+	dst = strconv.AppendUint(dst, open.Pkt, 10)
+	dst = append(dst, `,"name":"`...)
+	switch open.Kind {
 	case KindGenerated:
-		return "nic-queue"
+		dst = append(dst, "nic-queue"...)
 	case KindEligibleHold:
-		return "eligible-hold"
+		dst = append(dst, "eligible-hold"...)
 	case KindInjected, KindLinkTx:
-		return "wire"
+		dst = append(dst, "wire"...)
 	case KindVOQEnqueue:
-		return fmt.Sprintf("voq sw%d in%d vc%d", ev.Node, ev.Port, ev.VC)
+		dst = append(dst, "voq sw"...)
+		dst = strconv.AppendInt(dst, int64(open.Node), 10)
+		dst = append(dst, " in"...)
+		dst = strconv.AppendInt(dst, int64(open.Port), 10)
+		dst = append(dst, " vc"...)
+		dst = strconv.AppendUint(dst, uint64(open.VC), 10)
 	case KindVOQDequeue:
-		return fmt.Sprintf("xbar sw%d", ev.Node)
+		dst = append(dst, "xbar sw"...)
+		dst = strconv.AppendInt(dst, int64(open.Node), 10)
 	case KindOutputEnqueue:
-		return fmt.Sprintf("outbuf sw%d p%d", ev.Node, ev.Port)
+		dst = append(dst, "outbuf sw"...)
+		dst = strconv.AppendInt(dst, int64(open.Node), 10)
+		dst = append(dst, " p"...)
+		dst = strconv.AppendInt(dst, int64(open.Port), 10)
 	}
-	return ""
+	dst = append(dst, `","ts":`...)
+	dst = appendTS(dst, open.T)
+	dst = append(dst, `,"dur":`...)
+	dst = appendTS(dst, until-open.T)
+	dst = append(dst, ',')
+	dst = appendArgs(dst, open)
+	return append(dst, '}')
 }
 
 // terminal reports whether the kind ends the packet's current span chain.
@@ -77,142 +96,105 @@ func appendArgs(dst []byte, ev *Event) []byte {
 	return dst
 }
 
-// chromeWriter accumulates trace_event JSON with comma management.
-type chromeWriter struct {
-	w     io.Writer
-	buf   []byte
-	first bool
-	err   error
-}
-
-func (cw *chromeWriter) event(body func(dst []byte) []byte) {
-	if cw.err != nil {
-		return
-	}
-	cw.buf = cw.buf[:0]
-	if cw.first {
-		cw.first = false
-		cw.buf = append(cw.buf, "\n  "...)
-	} else {
-		cw.buf = append(cw.buf, ",\n  "...)
-	}
-	cw.buf = body(cw.buf)
-	_, cw.err = cw.w.Write(cw.buf)
-}
-
 // WriteChromeTrace exports the recorded events as Chrome trace_event JSON.
 // Load the file in Perfetto or chrome://tracing; each sampled packet is a
 // named thread under the "packets" process.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	if _, err := io.WriteString(w, `{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
-		return fmt.Errorf("trace: writing chrome trace: %w", err)
-	}
-	cw := &chromeWriter{w: w, first: true, buf: make([]byte, 0, 512)}
-
-	cw.event(func(dst []byte) []byte {
-		return append(dst, `{"ph":"M","pid":1,"name":"process_name","args":{"name":"packets"}}`...)
-	})
-
-	// Group the events by packet: each packet's events stably by time,
-	// which keeps their causal order at equal times, and the tracks by
-	// (first event time, packet id). Neither depends on how the run was
-	// split across shards, though a packet's life may span several
-	// shard logs.
-	byPkt := make(map[uint64][]*Event)
+	// Group the events by packet with one stable sort by (packet, time),
+	// which keeps a packet's causal order at equal times, and order the
+	// tracks by (first event time, packet id). Neither depends on how the
+	// run was split across shards, though a packet's life may span
+	// several shard logs.
+	var evs []*Event
 	if t != nil {
 		t.cut()
-		t.each(func(ev *Event) { byPkt[ev.Pkt] = append(byPkt[ev.Pkt], ev) })
+		evs = make([]*Event, 0, t.stored())
+		t.each(func(ev *Event) { evs = append(evs, ev) })
 	}
-	order := make([]uint64, 0, len(byPkt))
-	for id, evs := range byPkt {
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].T < evs[b].T })
-		order = append(order, id)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := byPkt[order[a]][0].T, byPkt[order[b]][0].T
-		if ta != tb {
-			return ta < tb
+	slices.SortStableFunc(evs, func(a, b *Event) int {
+		return cmp.Or(cmp.Compare(a.Pkt, b.Pkt), cmp.Compare(a.T, b.T))
+	})
+	newTrack := func(i int) bool { return i == 0 || evs[i].Pkt != evs[i-1].Pkt }
+	n := 0
+	for i := range evs {
+		if newTrack(i) {
+			n++
 		}
-		return order[a] < order[b]
+	}
+	tracks := make([]int, 0, n) // the index of each packet's first event
+	for i := range evs {
+		if newTrack(i) {
+			tracks = append(tracks, i)
+		}
+	}
+	slices.SortFunc(tracks, func(a, b int) int {
+		return cmp.Or(cmp.Compare(evs[a].T, evs[b].T), cmp.Compare(evs[a].Pkt, evs[b].Pkt))
 	})
 
-	for _, id := range order {
-		evs := byPkt[id]
-		first := evs[0]
-		cw.event(func(dst []byte) []byte {
-			dst = append(dst, `{"ph":"M","pid":1,"tid":`...)
-			dst = strconv.AppendUint(dst, id, 10)
-			dst = append(dst, `,"name":"thread_name","args":{"name":"pkt `...)
-			dst = strconv.AppendUint(dst, id, 10)
-			dst = append(dst, ' ')
-			dst = append(dst, first.Class.String()...)
-			dst = append(dst, " f"...)
-			dst = strconv.AppendUint(dst, uint64(first.Flow), 10)
-			dst = append(dst, ' ')
-			dst = strconv.AppendInt(dst, int64(first.Src), 10)
-			dst = append(dst, "->"...)
-			dst = strconv.AppendInt(dst, int64(first.Dst), 10)
-			dst = append(dst, `"}}`...)
-			return dst
-		})
+	buf := append(make([]byte, 0, 64<<10), `{"displayTimeUnit":"ns","traceEvents":[`+
+		"\n  "+`{"ph":"M","pid":1,"name":"process_name","args":{"name":"packets"}}`...)
+	var err error
+	flush := func() {
+		if err == nil {
+			_, err = w.Write(buf)
+		}
+		buf = buf[:0]
+	}
+	for _, start := range tracks {
+		first := evs[start]
+		buf = append(buf, ",\n  "+`{"ph":"M","pid":1,"tid":`...)
+		buf = strconv.AppendUint(buf, first.Pkt, 10)
+		buf = append(buf, `,"name":"thread_name","args":{"name":"pkt `...)
+		buf = strconv.AppendUint(buf, first.Pkt, 10)
+		buf = append(buf, ' ')
+		buf = append(buf, first.Class.String()...)
+		buf = append(buf, " f"...)
+		buf = strconv.AppendUint(buf, uint64(first.Flow), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(first.Src), 10)
+		buf = append(buf, "->"...)
+		buf = strconv.AppendInt(buf, int64(first.Dst), 10)
+		buf = append(buf, `"}}`...)
 
 		// Walk the packet's events, turning consecutive span-opening
-		// events into complete ("X") slices and everything notable into
-		// instant ("i") markers.
-		openName := ""
-		var openAt units.Time
-		var openEv *Event
-		closeSpan := func(until units.Time) {
-			if openName == "" {
-				return
+		// events (the kinds up to KindLinkTx) into complete slices and
+		// everything else into instant ("i") markers.
+		var open *Event
+		for _, ev := range evs[start:] {
+			if ev.Pkt != first.Pkt {
+				break
 			}
-			name, start, src := openName, openAt, openEv
-			openName = ""
-			cw.event(func(dst []byte) []byte {
-				dst = append(dst, `{"ph":"X","pid":1,"tid":`...)
-				dst = strconv.AppendUint(dst, id, 10)
-				dst = append(dst, `,"name":"`...)
-				dst = append(dst, name...)
-				dst = append(dst, `","ts":`...)
-				dst = appendTS(dst, start)
-				dst = append(dst, `,"dur":`...)
-				dst = appendTS(dst, until-start)
-				dst = append(dst, ',')
-				dst = appendArgs(dst, src)
-				dst = append(dst, '}')
-				return dst
-			})
-		}
-		for _, ev := range evs {
-			if name := spanName(ev); name != "" {
-				closeSpan(ev.T)
-				openName, openAt, openEv = name, ev.T, ev
+			opens := ev.Kind <= KindLinkTx
+			if open != nil && (opens || terminal(ev.Kind)) {
+				buf = appendSpan(buf, open, ev.T)
+				open = nil
+			}
+			if opens {
+				open = ev
 				continue
 			}
-			if terminal(ev.Kind) {
-				closeSpan(ev.T)
-			}
-			cw.event(func(dst []byte) []byte {
-				dst = append(dst, `{"ph":"i","s":"t","pid":1,"tid":`...)
-				dst = strconv.AppendUint(dst, id, 10)
-				dst = append(dst, `,"name":"`...)
-				dst = append(dst, ev.Kind.String()...)
-				dst = append(dst, `","ts":`...)
-				dst = appendTS(dst, ev.T)
-				dst = append(dst, ',')
-				dst = appendArgs(dst, ev)
-				dst = append(dst, '}')
-				return dst
-			})
+			buf = append(buf, ",\n  "+`{"ph":"i","s":"t","pid":1,"tid":`...)
+			buf = strconv.AppendUint(buf, ev.Pkt, 10)
+			buf = append(buf, `,"name":"`...)
+			buf = append(buf, ev.Kind.String()...)
+			buf = append(buf, `","ts":`...)
+			buf = appendTS(buf, ev.T)
+			buf = append(buf, ',')
+			buf = appendArgs(buf, ev)
+			buf = append(buf, '}')
 		}
 		// A span left open (packet still in flight at the horizon) is
 		// closed at its own start: zero-duration, but visible.
-		closeSpan(openAt)
+		if open != nil {
+			buf = appendSpan(buf, open, open.T)
+		}
+		if len(buf) >= 32<<10 {
+			flush()
+		}
 	}
-	if cw.err != nil {
-		return fmt.Errorf("trace: writing chrome trace: %w", cw.err)
-	}
-	if _, err := io.WriteString(w, "\n]}\n"); err != nil {
+	buf = append(buf, "\n]}\n"...)
+	flush()
+	if err != nil {
 		return fmt.Errorf("trace: writing chrome trace: %w", err)
 	}
 	return nil

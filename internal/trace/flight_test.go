@@ -80,7 +80,7 @@ func TestFlightViaTracer(t *testing.T) {
 		c1.Record(flightEvent(i))
 		c2.Record(flightEvent(100 + i))
 	}
-	if len(tr.Events()) != 0 {
+	if tr.Len() != 0 {
 		t.Fatal("DiscardEvents tracer stored events")
 	}
 	c2.Flight().Trip("slo", 42)

@@ -41,7 +41,9 @@ import (
 type Kind uint8
 
 // Lifecycle event kinds. Host-side kinds carry the host id in Node;
-// switch-side kinds carry the switch id.
+// switch-side kinds carry the switch id. The kinds up to KindLinkTx each
+// open a span of the Chrome export, which lasts until the packet's next
+// such event or its end.
 const (
 	// KindGenerated: the NIC stamped the packet's deadline (host event).
 	KindGenerated Kind = iota
@@ -425,16 +427,15 @@ func (t *Tracer) Len() int {
 	return t.stored()
 }
 
-// Events returns a copy of the stored events, each log in recording
-// order and the logs of shard clones in the order Absorb took them. It
-// is for tests and tools: the writers walk the pages themselves.
-func (t *Tracer) Events() []Event {
+// Each calls fn with every stored event, after the event cap's cut, each
+// log in recording order and the logs of shard clones in the order
+// Absorb took them. It builds no copy of the log.
+func (t *Tracer) Each(fn func(Event)) {
 	if t == nil {
-		return nil
+		return
 	}
-	out := make([]Event, 0, t.Len())
-	t.each(func(ev *Event) { out = append(out, *ev) })
-	return out
+	t.cut()
+	t.each(func(ev *Event) { fn(*ev) })
 }
 
 // Dropped returns how many events the event cap discarded.

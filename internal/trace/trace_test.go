@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestNilTracerSafe(t *testing.T) {
 		t.Error("nil tracer sampled a packet")
 	}
 	tr.Record(Event{Kind: KindDelivered}) // must not panic
-	if tr.Events() != nil || tr.Dropped() != 0 || tr.SampledPackets() != 0 || tr.HopSlack() != nil {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.SampledPackets() != 0 || tr.HopSlack() != nil {
 		t.Error("nil tracer reported non-empty state")
 	}
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -96,8 +97,14 @@ func TestMaxEventsCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Record(Event{T: 1, Kind: KindGenerated, Pkt: uint64(i)})
 	}
-	if got := len(tr.Events()); got != 3 {
+	if got := tr.Len(); got != 3 {
 		t.Errorf("stored %d events, want 3", got)
+	}
+	// Each walks the events the cut kept, in recording order.
+	var pkts []uint64
+	tr.Each(func(ev Event) { pkts = append(pkts, ev.Pkt) })
+	if !slices.Equal(pkts, []uint64{0, 1, 2}) {
+		t.Errorf("Each visited packets %v, want [0 1 2]", pkts)
 	}
 	if tr.Dropped() != 2 {
 		t.Errorf("dropped %d events, want 2", tr.Dropped())
@@ -343,5 +350,34 @@ func TestWriteJSONLAllocatesPerWriteNotPerEvent(t *testing.T) {
 	})
 	if allocs > 10 {
 		t.Errorf("WriteJSONL of %d events allocates %v times, want at most 10", root.Len(), allocs)
+	}
+}
+
+// TestWriteChromeTraceAllocatesPerWriteNotPerEvent: exporting the merged
+// logs of two shard clones, 10,000 packets of seven lifecycle events
+// each, allocates a small constant number of times, not once per packet,
+// span or event.
+func TestWriteChromeTraceAllocatesPerWriteNotPerEvent(t *testing.T) {
+	root, _ := New(Config{SampleRate: 1})
+	clones := []*Tracer{root.Clone(), root.Clone()}
+	life := []Kind{KindGenerated, KindInjected, KindVOQEnqueue, KindVOQDequeue,
+		KindOutputEnqueue, KindTakeOver, KindDelivered}
+	for i := 0; i < 5000; i++ {
+		for k, c := range clones {
+			for j, kind := range life {
+				c.Record(Event{T: units.Time(10*i + j), Kind: kind, Pkt: uint64(k<<20 + i), Node: k, Port: j, Out: -1})
+			}
+		}
+	}
+	for _, c := range clones {
+		root.Absorb(c)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := root.WriteChromeTrace(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("WriteChromeTrace of %d events allocates %v times, want at most 10", root.Len(), allocs)
 	}
 }
